@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -169,14 +170,31 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     net_file = doc.get("probes", {}).get("net_file")
     if net_file and not Path(net_file).exists():
         raise ConfigError(f"net_file does not exist: {net_file}", field="probes/net_file", path=path)
-    return ExperimentConfig(experiment=exp, raw=doc, path=path)
+    cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
+    n = doc["n"] if exp in _FAMILY_FREE else resolve_family(cfg).n
+    for fld in ("xi", "xi_list"):
+        for xi in np.ravel(doc.get(fld, [])):
+            if round((1.0 + float(xi)) * n) < 1:
+                msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
+                raise ConfigError(msg, field=fld, path=path)
+    return cfg
 
 
 def resolve_family(cfg: ExperimentConfig) -> VectorFamily:
     doc = cfg.raw
     if "family_file" in doc:
-        return load_family(doc["family_file"])
-    space = space_from_json(doc["space"])
+        try:
+            return load_family(doc["family_file"])
+        except (ValueError, KeyError, NormLabError) as exc:
+            raise ConfigError(f"invalid family_file: {exc}", field="family_file", path=cfg.path)
+    try:
+        space = space_from_json(doc["space"])
+    except KeyError as exc:
+        fld = f"space/{exc.args[0]}"
+        raise ConfigError(f"this space requires config field '{fld}'", field=fld, path=cfg.path)
+    except ValueError as exc:
+        fld = "space/p" if doc["space"]["kind"] == "lp" else "space/functionals"
+        raise ConfigError(f"config field '{fld}' is invalid: {exc}", field=fld, path=cfg.path)
     if "vectors" in doc:
         try:
             return make_family(space, doc["vectors"])
@@ -221,6 +239,14 @@ def _fmt(v) -> str:
     if isinstance(v, (list, tuple)):
         return json.dumps(list(v))
     return str(v)
+
+
+class Table(NamedTuple):
+    """A CSV table a runner produced; written only when "csv" is in the formats."""
+
+    name: str
+    header: list[str]
+    rows: list[list]
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -358,14 +384,12 @@ def _run_exact_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     X = _resolve_points(cfg, inst.n)
     vals = exact_unconditional_norm_many(inst, X, max_n=cfg.caps["max_enum_n"])
     rows = [[i, vals[i], X[i]] for i in range(X.shape[0])]
-    csv_path = out / "values.csv"
-    write_csv(csv_path, ["index", "exact_norm", "point"], rows)
     results = {
         "points": X.shape[0],
         "min": float(vals.min()) if vals.size else None,
         "max": float(vals.max()) if vals.size else None,
     }
-    return results, {"values_csv": csv_path.name}
+    return results, {"values_csv": Table("values.csv", ["index", "exact_norm", "point"], rows)}
 
 
 def _run_empirical_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -390,9 +414,7 @@ def _run_empirical_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         results["max_abs_delta"] = float(deltas.max()) if deltas.size else 0.0
     else:
         rows = [[i, emp_vals[i], X[i]] for i in range(X.shape[0])]
-    csv_path = out / "values.csv"
-    write_csv(csv_path, header, rows)
-    return results, {"values_csv": csv_path.name}
+    return results, {"values_csv": Table("values.csv", header, rows)}
 
 
 def _pool(cfg: ExperimentConfig):
@@ -421,10 +443,8 @@ def _run_distortion(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         if pool is not None:
             pool.shutdown()
     rows = [_trial_row(xi, t, r) for t, r in enumerate(reports)]
-    csv_path = out / "trials.csv"
-    write_csv(csv_path, _TRIAL_HEADER, rows)
     summary = dist.summarize_reports(xi, reports)
-    return {"summary": summary.__dict__}, {"trials_csv": csv_path.name}
+    return {"summary": summary.__dict__}, {"trials_csv": Table("trials.csv", _TRIAL_HEADER, rows)}
 
 
 def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -450,8 +470,6 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     for xi in cfg.raw["xi_list"]:
         for t, r in enumerate(profile.reports_by_xi[xi]):
             trial_rows.append(_trial_row(xi, t, r))
-    trials_path = out / "trials.csv"
-    write_csv(trials_path, _TRIAL_HEADER, trial_rows)
     agg_rows = [
         [
             r.xi, r.n, r.N, r.trials,
@@ -460,19 +478,17 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         ]
         for r in profile.rows
     ]
-    agg_path = out / "aggregate.csv"
-    write_csv(
-        agg_path,
-        ["xi", "n", "N", "trials", "min_q1", "min_median", "min_q3",
-         "max_q1", "max_median", "max_q3"],
-        agg_rows,
-    )
+    agg_header = ["xi", "n", "N", "trials", "min_q1", "min_median", "min_q3",
+                  "max_q1", "max_median", "max_q3"]
     results = {
         "small_xi_loglog_slope": profile.small_xi_loglog_slope,
         "note": profile.note,
         "rows": [r.__dict__ for r in profile.rows],
     }
-    return results, {"trials_csv": trials_path.name, "aggregate_csv": agg_path.name}
+    return results, {
+        "trials_csv": Table("trials.csv", _TRIAL_HEADER, trial_rows),
+        "aggregate_csv": Table("aggregate.csv", agg_header, agg_rows),
+    }
 
 
 def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -491,12 +507,6 @@ def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     for xi in cfg.raw["xi_list"]:
         for t, r in enumerate(result.reports_by_xi[xi]):
             trial_rows.append([r.xi, r.n, r.N, t, r.kappa_min, r.kappa_max, r.kappa_max_certificate])
-    trials_path = out / "trials.csv"
-    write_csv(
-        trials_path,
-        ["xi", "n", "N", "trial", "kappa_min", "kappa_max", "certificate"],
-        trial_rows,
-    )
     agg_rows = [
         [
             r.xi, r.n, r.N, r.trials, int(r.outside_stated_range),
@@ -506,19 +516,18 @@ def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         ]
         for r in result.rows
     ]
-    agg_path = out / "aggregate.csv"
-    write_csv(
-        agg_path,
-        ["xi", "n", "N", "trials", "outside_stated_range",
-         "kmin_q1", "kmin_median", "kmin_q3",
-         "kmax_q1", "kmax_median", "kmax_q3", "freq_below_tau"],
-        agg_rows,
-    )
+    agg_header = ["xi", "n", "N", "trials", "outside_stated_range",
+                  "kmin_q1", "kmin_median", "kmin_q3",
+                  "kmax_q1", "kmax_median", "kmax_q3", "freq_below_tau"]
+    trials_header = ["xi", "n", "N", "trial", "kappa_min", "kappa_max", "certificate"]
     results = {
         "small_xi_loglog_slope": result.small_xi_loglog_slope,
         "rows": [r.__dict__ for r in result.rows],
     }
-    return results, {"trials_csv": trials_path.name, "aggregate_csv": agg_path.name}
+    return results, {
+        "trials_csv": Table("trials.csv", trials_header, trial_rows),
+        "aggregate_csv": Table("aggregate.csv", agg_header, agg_rows),
+    }
 
 
 def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -529,21 +538,13 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     fit = conc.tail_check(d, cfg.raw.get("t_grid")) if d.sigma.value > 0 else None
     outputs = {}
     if fit is not None:
-        tail_path = out / "tail.csv"
-        write_csv(
-            tail_path,
-            ["t", "tail_probability"],
-            [[t, p] for t, p in zip(fit.ts, fit.tails)],
+        outputs["tail_csv"] = Table(
+            "tail.csv", ["t", "tail_probability"], [[t, p] for t, p in zip(fit.ts, fit.tails)]
         )
-        outputs["tail_csv"] = tail_path.name
     if d.atom_count <= 4096:
-        atoms_path = out / "atoms.csv"
-        write_csv(
-            atoms_path,
-            ["value", "probability"],
-            [[v, p] for v, p in zip(d.values, d.probs)],
+        outputs["atoms_csv"] = Table(
+            "atoms.csv", ["value", "probability"], [[v, p] for v, p in zip(d.values, d.probs)]
         )
-        outputs["atoms_csv"] = atoms_path.name
     amp = None
     if "N_list" in cfg.raw and "t" in cfg.raw:
         amp = conc.amplification_check(
@@ -555,13 +556,9 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
             cfg.master_seed,
             max_n=max_n,
         )
-        amp_path = out / "amplification.csv"
-        write_csv(
-            amp_path,
-            ["N", "frequency"],
-            [[r.N, r.frequency] for r in amp.rows],
+        outputs["amplification_csv"] = Table(
+            "amplification.csv", ["N", "frequency"], [[r.N, r.frequency] for r in amp.rows]
         )
-        outputs["amplification_csv"] = amp_path.name
     gap = conc.median_vs_mean(d)
     results = {
         "atom_count": d.atom_count,
@@ -617,7 +614,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, outputs = _RUNNERS[config.experiment](config, out)
+    results, produced = _RUNNERS[config.experiment](config, out)
+    outputs = {}
+    for tag, item in produced.items():
+        if isinstance(item, Table):
+            if "csv" not in config.formats:
+                continue
+            write_csv(out / item.name, item.header, item.rows)
+            item = item.name
+        outputs[tag] = item
     wall = time.perf_counter() - start
     report = RunReport(
         experiment=config.experiment,

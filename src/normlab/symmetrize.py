@@ -6,32 +6,42 @@ sampled sign columns.  With a matrix that enumerates every sign vector
 exactly once, the two coincide: that identity is the cornerstone oracle
 for everything downstream.
 
-Enumeration kernel: patterns are walked in Gray order, one representative
-per antipodal pair (values repeat under eps -> -eps), in blocks sized to
-keep the per-block work matrix in cache.  For each functional row r_k of
-the norm (coordinates for lp, functionals for polytope), the block of
-signed sums is a single GEMM: signs_block @ (x * r_k).  Block sums are
-combined with exact compensated summation (math.fsum).
+Enumeration kernel: one representative per antipodal pair (values repeat
+under eps -> -eps, so the last sign is pinned to +1), split
+meet-in-the-middle (Horowitz & Sahni 1974).  A low table walks a = min(n-1, 8)
+signs in Gray order together with the pinned one; a high table walks the
+other b = n-1-a signs.  For each functional row r_k of the norm
+(coordinates for lp, functionals for polytope) the low and high sums
+L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small GEMMs, and
+pattern (j, i) has signed sum H_k[j] + L_k[i]: one addition per pattern
+and row instead of an n-term dot product.  Norm values are combined in
+cache-sized tiles; tile sums are combined with exact compensated
+summation (math.fsum).  For n <= 9 the high half is empty and the low
+table is the whole half enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NonFiniteInputError
-from .signs import SignMatrix, half_enumeration_size, half_gray_sign_block
+from .signs import SignMatrix, gray_sign_block, half_enumeration_size, half_gray_sign_block
 from .spaces import NormSpec, VectorFamily, validate_family
 
 # default cap on n for exact 2^n enumeration (configurable per call)
 DEFAULT_MAX_ENUM_N = 22
 
-# target bytes for one block work matrix in the enumeration kernel
-_BLOCK_BYTES = 1 << 24
+# split enumeration: sign bits of the low half, elements of one combine
+# tile, points per chunk with an empty and with a nonempty high half
+_LOW_BITS = 8
+_TILE = 1 << 15
 _PROBE_CHUNK = 2048
+_TILE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -101,25 +111,25 @@ def _functional_rows(family: VectorFamily) -> tuple[np.ndarray, str, float | Non
     return V, "p", p
 
 
-def _combine_blocks(parts: list[np.ndarray], mode: str, p: float | None) -> np.ndarray:
-    """Norm values from per-row signed-sum blocks (each (c, P))."""
-    if mode == "maxabs":
-        out = np.abs(parts[0])
-        for T in parts[1:]:
-            np.maximum(out, np.abs(T), out=out)
-        return out
-    if mode == "sumabs":
-        out = np.abs(parts[0])
-        for T in parts[1:]:
-            out += np.abs(T)
-        return out
-    if mode == "sumsq":
-        out = np.square(parts[0])
-        for T in parts[1:]:
-            out += np.square(T)
-        return np.sqrt(out)
+def _combine_blocks(parts: Iterable[np.ndarray], mode: str, p: float | None) -> np.ndarray:
+    """Norm values from per-row signed-sum blocks (each (c, P)).
+
+    Works in place: the blocks are consumed and overwritten.
+    """
+    if mode != "p":
+        parts = iter(parts)
+        elementwise = np.square if mode == "sumsq" else np.abs
+        out = next(parts)
+        elementwise(out, out=out)
+        for T in parts:
+            elementwise(T, out=T)
+            if mode == "maxabs":
+                np.maximum(out, T, out=out)
+            else:
+                out += T
+        return np.sqrt(out) if mode == "sumsq" else out
     # general finite p with overflow-safe scaling
-    A = np.abs(np.stack(parts))
+    A = np.abs(np.stack(list(parts)))
     s = A.max(axis=0)
     safe = np.where(s > 0.0, s, 1.0)
     out = safe * ((A / safe) ** p).sum(axis=0) ** (1.0 / p)
@@ -146,6 +156,42 @@ def _enum_guard(n: int, max_n: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _high_table(b: int) -> np.ndarray:
+    """All 2^b sign patterns of the high half, Gray order (cached, read-only)."""
+    table = gray_sign_block(b, 0, 1 << b)
+    table.setflags(write=False)
+    return table
+
+
+def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (low, high) tables: low (2^a, a+1) walks signs b..n-2 with sign
+    n-1 pinned +1 (the half table of a+1 signs), high (2^b, b) signs 0..b-1."""
+    a = min(n - 1, _LOW_BITS)
+    return half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
+
+
+def _value_tiles(
+    R: np.ndarray, mode: str, p: float | None, X: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Norm values at every antipodal representative, for the points X (P, n).
+
+    Tiles have shape (rows * 2^a, P); together they cover all 2^(n-1)
+    patterns.  Pattern (j, i) has signed sums L_k[i] + H_k[j].
+    """
+    low, high = tables
+    b = high.shape[1]
+    Ys = (X * R[:, None, :]).transpose(0, 2, 1)  # Ys[k] = (X * r_k)^T, shape (n, P)
+    Ls = [low @ Y[b:] for Y in Ys]
+    Hs = [high @ Y[:b] for Y in Ys] if b else []
+    rows = max(1, _TILE // Ls[0].size)
+    for j in range(0, high.shape[0], rows):
+        # with an empty high half the low sums are the signed sums
+        parts = (L + H[j : j + rows, None] for L, H in zip(Ls, Hs)) if b else Ls
+        vals = _combine_blocks(parts, mode, p)
+        yield vals.reshape(-1, X.shape[0])
+
+
 def iter_exact_value_blocks(
     family: VectorFamily, x, max_n: int = DEFAULT_MAX_ENUM_N
 ) -> Iterator[np.ndarray]:
@@ -154,18 +200,11 @@ def iter_exact_value_blocks(
     Each full-enumeration value appears exactly once here (with its pair
     weight 2 implied); concatenated blocks cover all 2^(n-1) patterns.
     """
-    n = family.n
-    _enum_guard(n, max_n)
-    x = _check_points(n, x)[0]
+    _enum_guard(family.n, max_n)
     R, mode, p = _functional_rows(family)
-    Y = (x[None, :] * R).T  # (n, K)
-    total = half_enumeration_size(n)
-    block = max(256, min(total, _BLOCK_BYTES // (8 * max(1, R.shape[0]))))
-    for start in range(0, total, block):
-        count = min(block, total - start)
-        E = half_gray_sign_block(n, start, count)
-        S = E @ Y  # (count, K)
-        yield _combine_blocks([S[:, k] for k in range(S.shape[1])], mode, p)
+    X = _check_points(family.n, x)[:1]
+    for vals in _value_tiles(R, mode, p, X, _split_tables(family.n)):
+        yield vals[:, 0]
 
 
 def exact_unconditional_norm(
@@ -173,12 +212,9 @@ def exact_unconditional_norm(
 ) -> float:
     """Average of ||sum eps_i x_i v_i|| over all 2^n sign patterns, exactly.
 
-    Compensated accumulation: pairwise sums within blocks, exact fsum
-    across blocks.
+    The batched kernel on a batch of one point, so the two agree bit for bit.
     """
-    total = half_enumeration_size(inst.n)
-    sums = [float(b.sum()) for b in iter_exact_value_blocks(inst.family, x, max_n)]
-    return math.fsum(sums) / total
+    return float(exact_unconditional_norm_many(inst, _check_points(inst.n, x)[:1], max_n)[0])
 
 
 def exact_unconditional_norm_many(
@@ -186,40 +222,27 @@ def exact_unconditional_norm_many(
 ) -> np.ndarray:
     """Vectorized exact norm over the rows of X (shape (P, n)).
 
-    Same enumeration and tolerance as the scalar form, restructured so the
-    per-block signed sums for a whole chunk of points are one GEMM.
+    Points go in chunks small enough for a tile to stay in cache (2048 and
+    one tile per chunk when the high half is empty).  Compensated
+    accumulation: numpy sums within tiles, exact fsum across tiles.
     """
     n = inst.n
     _enum_guard(n, max_n)
     X = _check_points(n, X)
     P = X.shape[0]
-    if P == 0:
-        return np.zeros(0)
     R, mode, p = _functional_rows(inst.family)
-    K = R.shape[0]
     total = half_enumeration_size(n)
+    tables = _split_tables(n)
+    chunk = _TILE_POINTS if tables[1].shape[1] else _PROBE_CHUNK
     out = np.empty(P)
-    for ps in range(0, P, _PROBE_CHUNK):
-        pe = min(ps + _PROBE_CHUNK, P)
-        Xc = X[ps:pe]
-        Pc = pe - ps
-        # one (n, Pc) matrix of weighted coordinates per functional row
-        Ys = [(Xc * R[k][None, :]).T for k in range(K)]
-        block = max(128, min(total, _BLOCK_BYTES // (8 * Pc)))
-        nblocks = -(-total // block)
-        block_sums = np.empty((nblocks, Pc))
-        for bi, start in enumerate(range(0, total, block)):
-            count = min(block, total - start)
-            E = half_gray_sign_block(n, start, count)
-            parts = [E @ Ys[k] for k in range(K)]
-            vals = _combine_blocks(parts, mode, p)  # (count, Pc)
-            block_sums[bi] = vals.sum(axis=0)
-        if nblocks == 1:
-            out[ps:pe] = block_sums[0] / total
+    for ps in range(0, P, chunk):
+        tiles = _value_tiles(R, mode, p, X[ps : ps + chunk], tables)
+        sums = np.array([vals.sum(axis=0) for vals in tiles])
+        if len(sums) == 1:
+            out[ps : ps + chunk] = sums[0] / total
         else:
-            # exact compensated reduction across blocks
-            for q in range(Pc):
-                out[ps + q] = math.fsum(block_sums[:, q].tolist()) / total
+            # exact compensated reduction across tiles
+            out[ps : ps + chunk] = [math.fsum(s) / total for s in sums.T.tolist()]
     return out
 
 

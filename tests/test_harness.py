@@ -96,6 +96,17 @@ class TestRunners:
         assert (tmp_path / "out" / "report.json").exists()
         assert rep.results["points"] == 5
 
+    @pytest.mark.parametrize("formats", [["json"], ["csv"], ["json", "csv"]])
+    def test_output_formats(self, tmp_path, family_file, formats):
+        doc = base_config(tmp_path, family_file, experiment="xi-sweep", xi_list=[0.5, 1.0])
+        doc.update(trials=1, probes={"samples": 10, "descent_steps": 0})
+        doc["output"]["formats"] = formats
+        rep = run_experiment(validate_config(doc))
+        tables = ["aggregate.csv", "trials.csv"] if "csv" in formats else []
+        assert sorted(rep.outputs.values()) == tables
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted(tables + (["report.json"] if "json" in formats else []))
+
     def test_empirical_norm_enumerate_oracle(self, tmp_path, family_file):
         doc = base_config(
             tmp_path, family_file, experiment="empirical-norm", enumerate=True, count=8
@@ -216,6 +227,28 @@ class TestCli:
         cfg = write_json(tmp_path / "c.json", {"master_seed": 1})
         assert cli_main(["distortion", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, extra, field",
+        [
+            ("distortion", {"xi": -0.99, "trials": 1}, "xi"),
+            ("xi-sweep", {"xi_list": [0.5, -0.99], "trials": 1}, "xi_list"),
+            ("exact-norm", {"space": {"kind": "lp", "p": 0.5, "dim": 3}}, "space/p"),
+            ("exact-norm", {"space": {"kind": "lp", "p": 2}}, "space/dim"),
+            ("exact-norm", {"space": {"kind": "polytope", "functionals": [[1, 0, 0]]}}, "space/functionals"),
+        ],
+    )
+    def test_bad_config_is_a_config_error_naming_the_field(
+        self, tmp_path, family_file, capsys, experiment, extra, field
+    ):
+        doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
+        if "space" in doc:
+            doc["random_vectors"] = {"n": 4}
+        else:
+            doc["family_file"] = family_file
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main([experiment, "--config", cfg]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
 
     def test_seed_override_changes_results(self, tmp_path, family_file):
         doc = {

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import normlab as nl
+from normlab import symmetrize
 from normlab.errors import CapacityError, DimensionMismatchError
+from normlab.signs import half_enumeration_size, half_gray_sign_block
 
 from conftest import random_family, space_menu
+
+KERNEL_SPACES = [*space_menu(), nl.lp_space(3, 3)]
 
 
 def gray_incremental_reference(family, x):
@@ -28,6 +34,90 @@ def gray_incremental_reference(family, x):
         total = t
         eps_prev = eps
     return total / 2**family.n
+
+
+def direct_exact_norms(family, X):
+    """Independent oracle: all 2^n sign vectors in binary order, no
+    antipodal pairing, one exact fsum per point."""
+    n = family.n
+    E = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    space = family.space
+    out = []
+    for x in X:
+        U = (E * x) @ family.columns.T  # one signed sum per row
+        if space.kind == "polytope":
+            vals = np.abs(U @ space.functionals.T).max(axis=1)
+        elif space.p is None:
+            vals = np.abs(U).max(axis=1)
+        else:
+            vals = (np.abs(U) ** space.p).sum(axis=1) ** (1.0 / space.p)
+        out.append(math.fsum(vals) / 2**n)
+    return np.array(out)
+
+
+class TestSplitKernel:
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 13])
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=["l1", "l2", "linf", "poly", "l3"])
+    def test_many_matches_direct_sum(self, rng, space, n):
+        inst = nl.NormInstance(family=random_family(space, n, rng))
+        for P in (0, 1, 7, 300):
+            X = rng.standard_normal((P, n))
+            got = nl.exact_unconditional_norm_many(inst, X)
+            assert got.shape == (P,)
+            np.testing.assert_allclose(got, direct_exact_norms(inst.family, X), rtol=1e-12, atol=0)
+
+    def test_chunks_and_tiles(self, rng):
+        # n = 9: one tile per point, points over two chunks; n = 13: several
+        # tiles per point, reduced by fsum, and points over several chunks
+        for n, P in ((9, symmetrize._PROBE_CHUNK + 5), (13, 3 * symmetrize._TILE_POINTS + 1)):
+            inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 3), n, rng))
+            X = rng.standard_normal((P, n))
+            R, mode, p = symmetrize._functional_rows(inst.family)
+            tables = symmetrize._split_tables(n)
+            tiles = list(symmetrize._value_tiles(R, mode, p, X[: symmetrize._TILE_POINTS], tables))
+            assert (len(tiles) > 1) == (n > 9)
+            assert sum(t.shape[0] for t in tiles) == half_enumeration_size(n)
+            got = nl.exact_unconditional_norm_many(inst, X)
+            np.testing.assert_allclose(got, direct_exact_norms(inst.family, X), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_small_n_is_one_gemm_with_the_whole_half_table(self, rng, n):
+        # with an empty high half the kernel does exactly the products and
+        # sums of the unsplit enumeration, so the results are bit-identical
+        fam = random_family(nl.lp_space("inf", 3), n, rng)
+        X = rng.standard_normal((50, n))
+        E = half_gray_sign_block(n, 0, half_enumeration_size(n))
+        vals = np.abs(E @ (X * fam.columns[0]).T)
+        for r in fam.columns[1:]:
+            np.maximum(vals, np.abs(E @ (X * r).T), out=vals)
+        expected = vals.sum(axis=0) / half_enumeration_size(n)
+        got = nl.exact_unconditional_norm_many(nl.NormInstance(family=fam), X)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_single_point_equals_batch_of_one_bitwise(self, rng, n):
+        for space in KERNEL_SPACES:
+            inst = nl.NormInstance(family=random_family(space, n, rng))
+            x = rng.standard_normal(n)
+            many = nl.exact_unconditional_norm_many(inst, x[None, :])[0]
+            assert nl.exact_unconditional_norm(inst, x) == many
+
+    def test_value_blocks_are_the_representative_values(self, rng):
+        for space in KERNEL_SPACES:
+            fam = random_family(space, 11, rng)
+            x = rng.standard_normal(11)
+            got = np.sort(np.concatenate(list(symmetrize.iter_exact_value_blocks(fam, x))))
+            E = ((np.arange(2**10)[:, None] >> np.arange(10)) & 1) * 2.0 - 1.0
+            E = np.hstack([E, np.ones((2**10, 1))])  # last sign pinned +1
+            want = np.sort([nl.norm_eval(space, u) for u in (E * x) @ fam.columns.T])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_capacity_at_max_n(self, rng):
+        inst = nl.NormInstance(family=random_family(nl.lp_space(2, 3), 10, rng))
+        X = rng.standard_normal((3, 10))
+        assert nl.exact_unconditional_norm_many(inst, X, max_n=10).shape == (3,)
+        with pytest.raises(CapacityError):
+            nl.exact_unconditional_norm_many(inst, X, max_n=9)
 
 
 class TestExactNorm:
