@@ -65,7 +65,7 @@ from .scalar import (
     scalar_min_max,
     scalar_xi_sweep,
 )
-from .seeding import derive_seed, derive_trial_seed
+from .seeding import derive_seed
 from .signs import (
     SeedRecord,
     SignMatrix,

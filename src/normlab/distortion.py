@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import NetPoints, certified_sup_bound
-from .seeding import derive_seed, float_key
+from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import sample_sign_matrix
 from .spaces import VectorFamily, norming_functional
+from .stats import loglog_slope, quartiles
 from .symmetrize import (
     DEFAULT_MAX_ENUM_N,
     EmpiricalNormInstance,
@@ -27,7 +28,7 @@ from .symmetrize import (
     batch_empirical_norm,
     exact_unconditional_norm_many,
 )
-from .weakvar import KHINCHIN_CONSTANT, sigma, sigma_many_sup_norm
+from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, sigma, sigma_many_sup_norm
 
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
@@ -116,7 +117,7 @@ def split_UV(family: VectorFamily, x, sigma0: float) -> SphereSplit:
     )
 
 
-def _sigma_values(family: VectorFamily, X: np.ndarray) -> tuple[np.ndarray, bool]:
+def _sigma_values(family: VectorFamily, X: np.ndarray, vertex_cap: int) -> tuple[np.ndarray, bool]:
     space = family.space
     if space.kind == "lp" and space.p is None:
         return sigma_many_sup_norm(family, X), False
@@ -127,7 +128,7 @@ def _sigma_values(family: VectorFamily, X: np.ndarray) -> tuple[np.ndarray, bool
     vals = np.empty(X.shape[0])
     tentative = False
     for i, x in enumerate(X):
-        sr = sigma(family, x)
+        sr = sigma(family, x, vertex_cap=vertex_cap, lower_bound_beyond_cap=True)
         vals[i] = sr.value
         tentative = tentative or sr.lower_bound_only
     return vals, tentative
@@ -191,11 +192,14 @@ def run_trial(
     signs=None,
     sigma0: float = DEFAULT_SIGMA0,
     max_n: int = DEFAULT_MAX_ENUM_N,
+    vertex_cap: int = VERTEX_ENUM_CAP,
 ) -> DistortionReport:
     """One distortion trial; deterministic given (instance, seed, probes).
 
     ``signs`` may inject an explicit sign matrix (e.g. the full
-    enumeration) in place of sampling; N/xi are then taken from it.
+    enumeration) in place of sampling; N/xi are then taken from it.  An
+    l1 space wider than ``vertex_cap`` gets sampled lower bounds on sigma,
+    and its U/V split is marked tentative.
     """
     probes = probes or ProbeSpec()
     n = inst.n
@@ -241,7 +245,7 @@ def run_trial(
         certified = bound.value
         covering = bound.covering_status
 
-    svals, tentative = _sigma_values(inst.family, X)
+    svals, tentative = _sigma_values(inst.family, X, vertex_cap)
     in_U = svals >= sigma0
     uv = UVStats(
         sigma0=float(sigma0),
@@ -282,12 +286,6 @@ class FailureStats:
         return self.failures / self.trials
 
 
-def trial_seeds_for_xi(master_seed: int, xi: float, trials: int) -> list[int]:
-    """Per-(xi, trial) seeds, independent of sweep order or duplication."""
-    xi_seed = derive_seed(master_seed, float_key(xi))
-    return [derive_seed(xi_seed, t) for t in range(trials)]
-
-
 def run_trials(
     inst: NormInstance,
     xi: float,
@@ -297,13 +295,16 @@ def run_trials(
     *,
     sigma0: float = DEFAULT_SIGMA0,
     max_n: int = DEFAULT_MAX_ENUM_N,
+    vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> list[DistortionReport]:
     """Independent trials with per-trial derived seeds (order-free)."""
     seeds = trial_seeds_for_xi(master_seed, xi, trials)
 
     def one(s: int) -> DistortionReport:
-        return run_trial(inst, xi, s, probes, sigma0=sigma0, max_n=max_n)
+        return run_trial(
+            inst, xi, s, probes, sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap
+        )
 
     if pool is None:
         return [one(s) for s in seeds]
@@ -373,32 +374,20 @@ class ConstantsProfile:
 
 
 def summarize_reports(xi: float, reports: list[DistortionReport]) -> XiSummary:
-    mins = np.array([r.min_estimate.value for r in reports])
-    maxs = np.array([r.max_estimate.value for r in reports])
-    mq1, mmed, mq3 = np.percentile(mins, [25.0, 50.0, 75.0])
-    Mq1, Mmed, Mq3 = np.percentile(maxs, [25.0, 50.0, 75.0])
+    mq1, mmed, mq3 = quartiles([r.min_estimate.value for r in reports])
+    Mq1, Mmed, Mq3 = quartiles([r.max_estimate.value for r in reports])
     return XiSummary(
         xi=xi,
         n=reports[0].n,
         N=reports[0].N,
         trials=len(reports),
-        min_q1=float(mq1),
-        min_median=float(mmed),
-        min_q3=float(mq3),
-        max_q1=float(Mq1),
-        max_median=float(Mmed),
-        max_q3=float(Mq3),
+        min_q1=mq1,
+        min_median=mmed,
+        min_q3=mq3,
+        max_q1=Mq1,
+        max_median=Mmed,
+        max_q3=Mq3,
     )
-
-
-def small_xi_slope(rows: list[XiSummary]) -> float | None:
-    """Log-log slope of median minimum vs xi over xi < 1 (reported only)."""
-    pts = [(r.xi, r.min_median) for r in rows if r.xi < 1.0 and r.min_median > 0.0]
-    if len(set(x for x, _ in pts)) < 2:
-        return None
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    return float(np.polyfit(lx, ly, 1)[0])
 
 
 def xi_sweep(
@@ -410,6 +399,7 @@ def xi_sweep(
     *,
     sigma0: float = DEFAULT_SIGMA0,
     max_n: int = DEFAULT_MAX_ENUM_N,
+    vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> ConstantsProfile:
     """Trial quartiles of min/max estimates per xi, plus the small-xi slope."""
@@ -419,12 +409,14 @@ def xi_sweep(
     by_xi: dict[float, list[DistortionReport]] = {}
     for xi in xi_list:
         reports = run_trials(
-            inst, xi, trials, seed, probes, sigma0=sigma0, max_n=max_n, pool=pool
+            inst, xi, trials, seed, probes,
+            sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap, pool=pool,
         )
         by_xi.setdefault(xi, reports)
         rows.append(summarize_reports(xi, reports))
     return ConstantsProfile(
         rows=rows,
-        small_xi_loglog_slope=small_xi_slope(rows),
+        # log-log slope of median minimum vs xi over xi < 1 (reported only)
+        small_xi_loglog_slope=loglog_slope((r.xi, r.min_median) for r in rows if r.xi < 1.0),
         reports_by_xi=by_xi,
     )

@@ -16,6 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -417,8 +418,14 @@ def _run_empirical_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     return results, {"values_csv": Table("values.csv", header, rows)}
 
 
+@contextmanager
 def _pool(cfg: ExperimentConfig):
-    return ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+    """A thread pool for the trials when ``threads`` > 1, else None; shut down on exit."""
+    if cfg.threads <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        yield pool
 
 
 def _run_distortion(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
@@ -427,8 +434,7 @@ def _run_distortion(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     N, xi = resolve_N(cfg.raw, inst.n, path=cfg.path)
     probes = _probe_spec(cfg)
     trials = cfg.raw["trials"]
-    pool = _pool(cfg)
-    try:
+    with _pool(cfg) as pool:
         reports = dist.run_trials(
             inst,
             xi,
@@ -437,22 +443,23 @@ def _run_distortion(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
             probes,
             sigma0=_sigma0(cfg),
             max_n=cfg.caps["max_enum_n"],
+            vertex_cap=cfg.caps["max_dual_vertices_m"],
             pool=pool,
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     rows = [_trial_row(xi, t, r) for t, r in enumerate(reports)]
     summary = dist.summarize_reports(xi, reports)
-    return {"summary": summary.__dict__}, {"trials_csv": Table("trials.csv", _TRIAL_HEADER, rows)}
+    results = {
+        "summary": summary.__dict__,
+        "uv_tentative_trials": sum(r.uv.tentative for r in reports),
+    }
+    return results, {"trials_csv": Table("trials.csv", _TRIAL_HEADER, rows)}
 
 
 def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     family = resolve_family(cfg)
     inst = NormInstance(family=family)
     probes = _probe_spec(cfg)
-    pool = _pool(cfg)
-    try:
+    with _pool(cfg) as pool:
         profile = dist.xi_sweep(
             inst,
             cfg.raw["xi_list"],
@@ -461,11 +468,9 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
             probes,
             sigma0=_sigma0(cfg),
             max_n=cfg.caps["max_enum_n"],
+            vertex_cap=cfg.caps["max_dual_vertices_m"],
             pool=pool,
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     trial_rows = []
     for xi in cfg.raw["xi_list"]:
         for t, r in enumerate(profile.reports_by_xi[xi]):
@@ -484,6 +489,9 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         "small_xi_loglog_slope": profile.small_xi_loglog_slope,
         "note": profile.note,
         "rows": [r.__dict__ for r in profile.rows],
+        "uv_tentative_trials": sum(
+            r.uv.tentative for reports in profile.reports_by_xi.values() for r in reports
+        ),
     }
     return results, {
         "trials_csv": Table("trials.csv", _TRIAL_HEADER, trial_rows),
@@ -493,16 +501,18 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     p = cfg.raw.get("probes", {})
-    result = scalar.scalar_xi_sweep(
-        cfg.raw["n"],
-        cfg.raw["xi_list"],
-        cfg.raw["trials"],
-        cfg.master_seed,
-        probes=p.get("samples", 128),
-        descent_steps=p.get("descent_steps", 40),
-        restarts=p.get("restarts", 2),
-        tau=cfg.raw.get("tau"),
-    )
+    with _pool(cfg) as pool:
+        result = scalar.scalar_xi_sweep(
+            cfg.raw["n"],
+            cfg.raw["xi_list"],
+            cfg.raw["trials"],
+            cfg.master_seed,
+            probes=p.get("samples", 128),
+            descent_steps=p.get("descent_steps", 40),
+            restarts=p.get("restarts", 2),
+            tau=cfg.raw.get("tau"),
+            pool=pool,
+        )
     trial_rows = []
     for xi in cfg.raw["xi_list"]:
         for t, r in enumerate(result.reports_by_xi[xi]):

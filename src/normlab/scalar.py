@@ -5,10 +5,13 @@ one-dimensional ambient space, so it doubles as a consistency oracle for
 the general machinery.  kappa_min / kappa_max are the extreme values of
 rho_A over the Euclidean unit sphere.  The maximum is sandwiched by the
 singular-value certificate s_max(A)/sqrt(N) (Cauchy-Schwarz per column).
-Minimization is probe + projected subgradient descent in general; at
-n = 2 the circle decomposes into finitely many sign-pattern cones on
-which rho_A is linear, so an exact pass over cone boundaries and interior
-stationary directions (plus a dense angular grid) pins the extremes.
+In general the extremes are estimated by probes plus projected
+subgradient descent: the ``restarts`` lowest probes descend and the
+``restarts`` highest ascend, all as one stack in lockstep, each start
+with its own step size and its own stop.  At n = 2 the circle decomposes
+into finitely many sign-pattern cones on which rho_A is linear, so an
+exact pass over cone boundaries and interior stationary directions (plus
+a dense angular grid) pins the extremes.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import derive_seed, float_key
+from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import SignMatrix, sample_sign_matrix
+from .stats import loglog_slope, quartiles
 from .symmetrize import _empirical_one  # shared kernel keeps values bit-identical
 from .weakvar import largest_singular_value
 
@@ -62,27 +66,38 @@ def _rho_batch(E: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.abs(Y @ E).mean(axis=1)
 
 
-def _descend(E: np.ndarray, y0: np.ndarray, f0: float, steps: int, sign: float) -> tuple[np.ndarray, float]:
-    """Projected subgradient descent (sign=+1) or ascent (sign=-1) of rho."""
+def _descend(E: np.ndarray, y0: np.ndarray, f0, steps: int, sign):
+    """Projected subgradient descent (sign=+1) or ascent (sign=-1) of rho.
+
+    The rows of ``y0`` (values ``f0``) move in lockstep: a step is one
+    subgradient product and one evaluation for the whole stack.  Each row
+    keeps its own step size, halved when its candidate is rejected, and
+    stops once that falls below DESCENT_STEP_MIN; a stopped row is left
+    as it is, so no row's path depends on the others.  ``sign`` is one
+    value or one per row.  Returns the stack and its values; a 1-d ``y0``
+    is a stack of one and returns ``(y, float)``.
+    """
     N = E.shape[1]
-    y, fy = y0, f0
-    step = DESCENT_STEP0
+    Y = np.array(y0, dtype=np.float64, ndmin=2)
+    F = np.array(f0, dtype=np.float64, ndmin=1)
+    sign = np.broadcast_to(np.asarray(sign, dtype=np.float64), F.shape)
+    step = np.full(F.shape, DESCENT_STEP0)
     for _ in range(steps):
-        if step < DESCENT_STEP_MIN:
+        active = step >= DESCENT_STEP_MIN
+        if not active.any():
             break
-        g = E @ np.sign(y @ E) / N
-        cand = y - sign * step * g
-        nrm = float(np.linalg.norm(cand))
-        if nrm == 0.0:
-            step *= 0.5
-            continue
-        cand /= nrm
-        fc = float(np.abs(cand @ E).mean())
-        if (fc < fy) if sign > 0 else (fc > fy):
-            y, fy = cand, fc
-        else:
-            step *= 0.5
-    return y, fy
+        C = Y - (sign * step)[:, None] * (np.sign(Y @ E) @ E.T / N)
+        nrm = np.linalg.norm(C, axis=1)
+        live = active & (nrm > 0.0)
+        np.divide(C, nrm[:, None], out=C, where=live[:, None])
+        FC = np.abs(C @ E).mean(axis=1)
+        better = live & (sign * (FC - F) < 0.0)
+        np.copyto(Y, C, where=better[:, None])
+        np.copyto(F, FC, where=better)
+        step[active & ~better] *= 0.5
+    if np.ndim(y0) == 1:
+        return Y[0], float(F[0])
+    return Y, F
 
 
 def _exact_circle_extremes(E: np.ndarray, grid: int) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -159,21 +174,23 @@ def scalar_min_max(
     vals = _rho_batch(E, Y)
     order = np.argsort(vals)
 
+    # descend from the r lowest probes and ascend from the r highest, in one
+    # stack; argmin/argmax keep the first start with the strictly best value
+    r = min(max(restarts, 0), len(order))
+    starts = np.concatenate([order[:r], order[::-1][:r]])
+    Yd, Fd = _descend(E, Y[starts], vals[starts], descent_steps, np.repeat([1.0, -1.0], r))
+
     best_min, y_min = float(vals[order[0]]), Y[order[0]].copy()
     min_method = "sample-scan"
-    for r in range(min(restarts, len(order))):
-        y0 = Y[order[r]]
-        yd, fd = _descend(E, y0, float(vals[order[r]]), descent_steps, +1.0)
-        if fd < best_min:
-            best_min, y_min, min_method = fd, yd, "local-descent"
+    if r and Fd[:r].min() < best_min:
+        k = int(np.argmin(Fd[:r]))
+        best_min, y_min, min_method = float(Fd[k]), Yd[k], "local-descent"
 
     best_max, y_max = float(vals[order[-1]]), Y[order[-1]].copy()
     max_method = "sample-scan"
-    for r in range(min(restarts, len(order))):
-        y0 = Y[order[-(r + 1)]]
-        yd, fd = _descend(E, y0, float(vals[order[-(r + 1)]]), descent_steps, -1.0)
-        if fd > best_max:
-            best_max, y_max, max_method = fd, yd, "local-ascent"
+    if r and Fd[r:].max() > best_max:
+        k = r + int(np.argmax(Fd[r:]))
+        best_max, y_max, max_method = float(Fd[k]), Yd[k], "local-ascent"
 
     exact_pass = False
     if n == 2:
@@ -234,12 +251,15 @@ def scalar_xi_sweep(
     descent_steps: int = 40,
     restarts: int = 2,
     tau: float | None = None,
+    pool=None,
 ) -> ScalarSweepResult:
     """Quartiles of kappa_min / kappa_max per xi over independent trials.
 
     xi > 1 rows are flagged as extrapolation beyond the stated range of the
     scalar bound.  The log-log slope of median kappa_min vs xi over xi <= 1
-    is reported against the conjectured xi^2 shape, never asserted.
+    is reported against the conjectured xi^2 shape, never asserted.  Trial
+    seeds derive from (seed, xi, trial index), so a ``pool`` that maps the
+    trials gives the same results as running them in order.
     """
     if not xi_list:
         raise ValueError("xi_list must be nonempty")
@@ -247,24 +267,24 @@ def scalar_xi_sweep(
     by_xi: dict[float, list[ScalarTrialReport]] = {}
     for xi in xi_list:
         N = int(round((1.0 + xi) * n))
-        xi_seed = derive_seed(seed, float_key(xi))
-        reports = []
-        for t in range(trials):
-            ts = derive_seed(xi_seed, t)
+
+        def one(t: int, ts: int) -> ScalarTrialReport:
             A = sample_sign_matrix(n, N, derive_seed(ts, 0), trial_index=t)
-            rep = scalar_min_max(
+            return scalar_min_max(
                 A,
                 probes=probes,
                 seed=derive_seed(ts, 1),
                 descent_steps=descent_steps,
                 restarts=restarts,
             )
-            reports.append(rep)
+
+        seeds = trial_seeds_for_xi(seed, xi, trials)
+        mapper = map if pool is None else pool.map
+        reports = list(mapper(one, range(trials), seeds))
         by_xi.setdefault(xi, reports)
         kmin = np.array([r.kappa_min for r in reports])
-        kmax = np.array([r.kappa_max for r in reports])
-        kq = np.percentile(kmin, [25.0, 50.0, 75.0])
-        Kq = np.percentile(kmax, [25.0, 50.0, 75.0])
+        kq1, kmed, kq3 = quartiles(kmin)
+        Kq1, Kmed, Kq3 = quartiles([r.kappa_max for r in reports])
         rows.append(
             ScalarXiSummary(
                 xi=xi,
@@ -272,19 +292,16 @@ def scalar_xi_sweep(
                 N=N,
                 trials=trials,
                 outside_stated_range=xi > 1.0,
-                kmin_q1=float(kq[0]),
-                kmin_median=float(kq[1]),
-                kmin_q3=float(kq[2]),
-                kmax_q1=float(Kq[0]),
-                kmax_median=float(Kq[1]),
-                kmax_q3=float(Kq[2]),
+                kmin_q1=kq1,
+                kmin_median=kmed,
+                kmin_q3=kq3,
+                kmax_q1=Kq1,
+                kmax_median=Kmed,
+                kmax_q3=Kq3,
                 freq_below_tau=(
                     float((kmin <= tau).mean()) if tau is not None else None
                 ),
             )
         )
-    pts = [(r.xi, r.kmin_median) for r in rows if r.xi <= 1.0 and r.kmin_median > 0.0]
-    slope = None
-    if len({x for x, _ in pts}) >= 2:
-        slope = float(np.polyfit(np.log([x for x, _ in pts]), np.log([y for _, y in pts]), 1)[0])
+    slope = loglog_slope((r.xi, r.kmin_median) for r in rows if r.xi <= 1.0)
     return ScalarSweepResult(rows=rows, small_xi_loglog_slope=slope, reports_by_xi=by_xi)

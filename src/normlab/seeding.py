@@ -39,6 +39,7 @@ def float_key(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def derive_trial_seed(master: int, index: int) -> int:
-    """Public alias used by the experiment harness (one stream per trial)."""
-    return derive_seed(master, index)
+def trial_seeds_for_xi(master_seed: int, xi: float, trials: int) -> list[int]:
+    """Per-(xi, trial) seeds, independent of sweep order or duplication."""
+    xi_seed = derive_seed(master_seed, float_key(xi))
+    return [derive_seed(xi_seed, t) for t in range(trials)]

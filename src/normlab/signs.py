@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .seeding import derive_seed
 
 # hard cap for full 2^n enumeration requests
 ENUMERATION_CAP = 24
@@ -107,12 +106,6 @@ def sample_sign_matrix(
     packed = np.packbits(bits)
     packed.setflags(write=False)
     return SignMatrix(packed, n, N, SeedRecord(seed=seed, trial_index=trial_index))
-
-
-def sample_for_trial(n: int, N: int, master_seed: int, trial_index: int) -> SignMatrix:
-    """Sample the matrix of a given trial, seeded by (master, trial_index)."""
-    sm = sample_sign_matrix(n, N, derive_seed(master_seed, trial_index))
-    return SignMatrix(sm._packed, n, N, SeedRecord(seed=master_seed, trial_index=trial_index))
 
 
 def enumerate_signs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[np.ndarray, int | None]]:

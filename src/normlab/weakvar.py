@@ -168,12 +168,15 @@ def sigma(
     vertex_cap: int = VERTEX_ENUM_CAP,
     lower_bound_samples: int = 256,
     seed: int = 0,
+    lower_bound_beyond_cap: bool = False,
 ) -> SigmaResult:
     """Weak variance of the weighted family (x_1 v_1, ..., x_n v_n).
 
     Exact for l2 (spectral), l_inf and polytope (extreme-point scan), and
     l1 up to ``vertex_cap`` dual-cube dimensions; other lp values get an
-    honest sampled lower bound flagged ``lower_bound_only``.
+    honest sampled lower bound flagged ``lower_bound_only``.  Beyond the
+    cap l1 raises CapacityError, or with ``lower_bound_beyond_cap`` gets
+    that sampled lower bound too.
     """
     x = np.asarray(x, dtype=np.float64)
     W = _weighted_columns(family, x)
@@ -194,7 +197,7 @@ def sigma(
     if p == 2.0:
         s, u = largest_singular_value(W)
         return SigmaResult(value=s, method="spectral", certificate=u)
-    if p == 1.0:
+    if p == 1.0 and (space.dim <= vertex_cap or not lower_bound_beyond_cap):
         return _sigma_l1(W, vertex_cap)
     return _sigma_smooth_lp(space, W, lower_bound_samples, seed)
 

@@ -285,3 +285,24 @@ class TestCli:
         assert cfg.threads == 2
         run_experiment(cfg)
         assert (tmp_path / "env_out" / "trials.csv").exists()
+
+
+class TestCaps:
+    @pytest.mark.parametrize("experiment", ["distortion", "xi-sweep"])
+    def test_dual_vertex_cap_below_m_marks_the_split_tentative(self, tmp_path, rng, experiment):
+        fam = nl.make_family(nl.lp_space(1, 4), rng.standard_normal((5, 4)))
+        nl.save_family(fam, tmp_path / "l1.json")
+        counts = {}
+        for tag, caps in (("default", {}), ("capped", {"max_dual_vertices_m": 3})):
+            doc = {
+                "family_file": str(tmp_path / "l1.json"),
+                "trials": 2,
+                "probes": {"samples": 6, "descent_steps": 2},
+                "master_seed": 3,
+                "caps": caps,
+                "output": {"dir": str(tmp_path / tag)},
+                **({"xi": 0.5} if experiment == "distortion" else {"xi_list": [0.5]}),
+            }
+            report = run_experiment(validate_config(doc, experiment=experiment))
+            counts[tag] = report.results["uv_tentative_trials"]
+        assert counts == {"default": 0, "capped": 2}

@@ -4,8 +4,29 @@ import numpy as np
 import pytest
 
 import normlab as nl
+from normlab.scalar import _descend, _rho_batch
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _probe_stack(n, N, count, seed):
+    E = nl.sample_sign_matrix(n, N, seed=seed).dense()
+    Y = np.random.default_rng(seed).standard_normal((count, n))
+    Y /= np.linalg.norm(Y, axis=1)[:, None]
+    return E, Y, _rho_batch(E, Y)
+
+
+def _steps_to_final(E, y, f, sign, budget):
+    """The fewest steps after which a lone start holds its final value."""
+    final = _descend(E, y, f, budget, sign)[1]
+    lo, hi = 0, budget  # accepted steps move f strictly, so this is monotone
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _descend(E, y, f, mid, sign)[1] == final:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestScalarEmpiricalNorm:
@@ -112,6 +133,100 @@ class TestScalarMinMax:
             assert rep.kappa_max >= brute.max() - 1e-9
 
 
+class TestLockstepDescent:
+    @pytest.mark.parametrize("n, N", [(1, 6), (2, 5), (6, 9), (20, 25)])
+    def test_each_row_matches_a_lone_start(self, n, N):
+        E, Y, vals = _probe_stack(n, N, 12, seed=300 + n)
+        sign = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+        Ys, Fs = _descend(E, Y, vals, 60, sign)
+        assert Ys.shape == (12, n) and Fs.shape == (12,)
+        for i in range(12):
+            y, f = _descend(E, Y[i], float(vals[i]), 60, float(sign[i]))
+            assert isinstance(f, float)
+            assert abs(Fs[i] - f) <= 1e-12
+            np.testing.assert_allclose(Ys[i], y, rtol=0.0, atol=1e-12)
+
+    def test_rows_that_stop_at_different_steps_keep_their_lone_result(self):
+        E, Y, vals = _probe_stack(3, 5, 6, seed=17)
+        budget = 400
+        finish = [_steps_to_final(E, Y[i], float(vals[i]), 1.0, budget) for i in range(6)]
+        assert len(set(finish)) > 1 and max(finish) < budget
+        Ys, Fs = _descend(E, Y, vals, budget, 1.0)
+        for i in range(6):
+            y, f = _descend(E, Y[i], float(vals[i]), budget, 1.0)
+            assert Fs[i] == pytest.approx(f, abs=1e-12)
+            np.testing.assert_allclose(Ys[i], y, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_and_unit_norm(self, sign):
+        for seed in range(5):
+            E, Y, vals = _probe_stack(8, 11, 20, seed=seed)
+            Ys, Fs = _descend(E, Y, vals, 40, sign)
+            assert (sign * (Fs - vals) <= 0.0).all()
+            np.testing.assert_allclose(np.linalg.norm(Ys, axis=1), 1.0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(Fs, _rho_batch(E, Ys), rtol=0.0, atol=1e-12)
+
+    def test_inputs_are_not_modified(self):
+        E, Y, vals = _probe_stack(5, 7, 4, seed=3)
+        Y0, vals0 = Y.copy(), vals.copy()
+        _descend(E, Y, vals, 30, 1.0)
+        _descend(E, Y[0], float(vals[0]), 30, -1.0)
+        assert np.array_equal(Y, Y0) and np.array_equal(vals, vals0)
+
+    def test_zero_steps_and_empty_stack(self):
+        E, Y, vals = _probe_stack(4, 6, 3, seed=5)
+        Ys, Fs = _descend(E, Y, vals, 0, 1.0)
+        assert np.array_equal(Ys, Y) and np.array_equal(Fs, vals)
+        Ys, Fs = _descend(E, Y[:0], vals[:0], 10, np.zeros(0))
+        assert Ys.shape == (0, 4) and Fs.shape == (0,)
+
+    def test_min_max_match_the_per_start_selection(self):
+        # the lockstep trial equals the old rule: descend the `restarts`
+        # lowest probes and ascend the highest one by one, first strict
+        # improvement wins, labels unchanged
+        for t in range(6):
+            A = nl.sample_sign_matrix(7, 10, seed=400 + t)
+            rep = nl.scalar_min_max(A, probes=64, seed=t, descent_steps=30, restarts=4)
+            E = A.dense()
+            rng = np.random.default_rng(np.uint64(nl.derive_seed(t, 0)))
+            Y = rng.standard_normal((64, 7))
+            Y /= np.linalg.norm(Y, axis=1)[:, None]
+            vals = _rho_batch(E, Y)
+            order = np.argsort(vals)
+            best_min, min_method = float(vals[order[0]]), "sample-scan"
+            best_max, max_method = float(vals[order[-1]]), "sample-scan"
+            for r in range(4):
+                _, fd = _descend(E, Y[order[r]], float(vals[order[r]]), 30, 1.0)
+                if fd < best_min:
+                    best_min, min_method = fd, "local-descent"
+                _, fa = _descend(E, Y[order[-(r + 1)]], float(vals[order[-(r + 1)]]), 30, -1.0)
+                if fa > best_max:
+                    best_max, max_method = fa, "local-ascent"
+            assert rep.kappa_min == pytest.approx(best_min, abs=1e-12)
+            assert rep.kappa_max == pytest.approx(best_max, abs=1e-12)
+            assert (rep.min_method, rep.max_method) == (min_method, max_method)
+            assert rep.kappa_min == pytest.approx(nl.scalar_empirical_norm(A, rep.argmin), abs=1e-12)
+            assert rep.kappa_max == pytest.approx(nl.scalar_empirical_norm(A, rep.argmax), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "probes, restarts, steps", [(32, 0, 20), (32, 3, 0), (4, 10, 20), (0, 2, 20)]
+    )
+    def test_edge_budgets(self, probes, restarts, steps):
+        A = nl.sample_sign_matrix(5, 8, seed=9)
+        rep = nl.scalar_min_max(A, probes=probes, seed=2, descent_steps=steps, restarts=restarts)
+        if restarts == 0 or steps == 0:
+            assert (rep.min_method, rep.max_method) == ("sample-scan", "sample-scan")
+        assert 0.0 < rep.kappa_min <= rep.kappa_max <= rep.kappa_max_certificate + 1e-12
+        assert np.linalg.norm(rep.argmin) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(rep.argmax) == pytest.approx(1.0, abs=1e-12)
+
+    def test_n1_descent_stays_put(self):
+        A = nl.sample_sign_matrix(1, 6, seed=4)
+        rep = nl.scalar_min_max(A, probes=8, seed=1, descent_steps=30, restarts=8)
+        assert (rep.min_method, rep.max_method) == ("sample-scan", "sample-scan")
+        assert abs(rep.argmin[0]) == 1.0 and abs(rep.argmax[0]) == 1.0
+
+
 class TestScalarSweep:
     def test_determinism(self):
         a = nl.scalar_xi_sweep(6, [0.5, 1.0], 5, seed=42, probes=32, descent_steps=10)
@@ -132,3 +247,20 @@ class TestScalarSweep:
         for row in res.rows:
             assert row.kmin_q1 <= row.kmin_median <= row.kmin_q3
         assert res.small_xi_loglog_slope is not None
+
+    def test_pool_gives_the_same_trials(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        kw = dict(probes=32, descent_steps=10, restarts=3)
+        a = nl.scalar_xi_sweep(6, [0.5, 1.0], 5, seed=42, **kw)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            b = nl.scalar_xi_sweep(6, [0.5, 1.0], 5, seed=42, pool=pool, **kw)
+        assert a.rows == b.rows
+        for xi in (0.5, 1.0):
+            for ra, rb in zip(a.reports_by_xi[xi], b.reports_by_xi[xi]):
+                assert (ra.kappa_min, ra.kappa_max, ra.seed) == (rb.kappa_min, rb.kappa_max, rb.seed)
+
+    def test_trial_seeds_are_the_shared_derivation(self):
+        res = nl.scalar_xi_sweep(5, [0.5], 3, seed=8, probes=16, descent_steps=5)
+        seeds = nl.seeding.trial_seeds_for_xi(8, 0.5, 3)
+        assert [r.seed for r in res.reports_by_xi[0.5]] == [nl.derive_seed(s, 1) for s in seeds]

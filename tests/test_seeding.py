@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.seeding import derive_seed, derive_trial_seed, float_key
+from normlab.seeding import derive_seed, float_key
 
 
 def test_deterministic():
@@ -33,10 +33,6 @@ def test_adjacent_indices_differ():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         derive_seed(1, -1)
-
-
-def test_trial_alias():
-    assert derive_trial_seed(7, 3) == derive_seed(7, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -38,6 +38,15 @@ class TestSigma:
         with pytest.raises(CapacityError):
             nl.sigma(fam, np.ones(3), vertex_cap=3)
 
+    def test_l1_beyond_cap_lower_bound(self, rng):
+        fam = random_family(nl.lp_space(1, 4), 3, rng)
+        x = rng.standard_normal(3)
+        lb = nl.sigma(fam, x, vertex_cap=3, lower_bound_beyond_cap=True)
+        exact = nl.sigma(fam, x, lower_bound_beyond_cap=True)
+        assert lb.lower_bound_only and not exact.lower_bound_only
+        assert exact.method == "vertex-enumeration"
+        assert 0.0 < lb.value <= exact.value * (1.0 + 1e-12)
+
     def test_smooth_lp_flagged_lower_bound(self, rng):
         fam = random_family(nl.lp_space(3, 3), 4, rng)
         r = nl.sigma(fam, rng.standard_normal(4))
