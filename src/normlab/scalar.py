@@ -24,7 +24,7 @@ import numpy as np
 from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import SignMatrix, sample_sign_matrix
 from .stats import loglog_slope, quartiles
-from .symmetrize import _empirical_one  # shared kernel keeps values bit-identical
+from .symmetrize import _empirical_many  # shared kernel keeps values bit-identical
 from .weakvar import largest_singular_value
 
 DESCENT_STEP0 = 0.1
@@ -58,7 +58,7 @@ def scalar_empirical_norm(A: SignMatrix, y) -> float:
     if y.shape != (A.n,):
         raise ValueError(f"y has shape {y.shape}, expected ({A.n},)")
     R = np.ones((1, A.n))
-    return _empirical_one(R, "maxabs", None, A.dense(), y)
+    return float(_empirical_many(R, "maxabs", None, A.dense(), y[None, :])[0])
 
 
 def _rho_batch(E: np.ndarray, Y: np.ndarray) -> np.ndarray:

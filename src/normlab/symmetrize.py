@@ -13,17 +13,21 @@ signs in Gray order together with the pinned one; a high table walks the
 other b = n-1-a signs.  For each functional row r_k of the norm
 (coordinates for lp, functionals for polytope) the low and high sums
 L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small GEMMs, and
-pattern (j, i) has signed sum H_k[j] + L_k[i]: one addition per pattern
-and row instead of an n-term dot product.  Norm values are combined in
-cache-sized tiles; tile sums are combined with exact compensated
-summation (math.fsum).  For n <= 9 the high half is empty and the low
-table is the whole half enumeration.
+pattern (j, i) has signed sum H_k[j] + L_k[i].  That outer sum is itself a
+GEMM with inner dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It
+is written into buffers that belong to one kernel call, so concurrent
+calls share nothing.  A tile holds whole points by all their patterns (a
+point with more than 2^15 patterns spans several tiles); the rows are
+combined in place, numpy's pairwise sum reduces each point's values
+contiguously, and the tiles of one point are combined with exact
+compensated summation (math.fsum).  For n <= 9 the high half is empty
+and the low table is the whole half enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,11 +41,10 @@ from .spaces import NormSpec, VectorFamily, validate_family
 DEFAULT_MAX_ENUM_N = 22
 
 # split enumeration: sign bits of the low half, elements of one combine
-# tile, points per chunk with an empty and with a nonempty high half
+# tile, points per chunk with an empty high half
 _LOW_BITS = 8
 _TILE = 1 << 15
 _PROBE_CHUNK = 2048
-_TILE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -111,25 +114,19 @@ def _functional_rows(family: VectorFamily) -> tuple[np.ndarray, str, float | Non
     return V, "p", p
 
 
-def _combine_blocks(parts: Iterable[np.ndarray], mode: str, p: float | None) -> np.ndarray:
-    """Norm values from per-row signed-sum blocks (each (c, P)).
+def _combine_blocks(T: np.ndarray, mode: str, p: float | None) -> np.ndarray:
+    """Norm values from the stacked per-row signed sums T (K, ...).
 
-    Works in place: the blocks are consumed and overwritten.
+    Works in place: T is consumed and overwritten.
     """
     if mode != "p":
-        parts = iter(parts)
-        elementwise = np.square if mode == "sumsq" else np.abs
-        out = next(parts)
-        elementwise(out, out=out)
-        for T in parts:
-            elementwise(T, out=T)
-            if mode == "maxabs":
-                np.maximum(out, T, out=out)
-            else:
-                out += T
-        return np.sqrt(out) if mode == "sumsq" else out
+        (np.square if mode == "sumsq" else np.abs)(T, out=T)
+        out = T[0]
+        for t in T[1:]:
+            (np.maximum if mode == "maxabs" else np.add)(out, t, out=out)
+        return np.sqrt(out, out=out) if mode == "sumsq" else out
     # general finite p with overflow-safe scaling
-    A = np.abs(np.stack(list(parts)))
+    A = np.abs(T, out=T)
     s = A.max(axis=0)
     safe = np.where(s > 0.0, s, 1.0)
     out = safe * ((A / safe) ** p).sum(axis=0) ** (1.0 / p)
@@ -171,25 +168,41 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
 
 
-def _value_tiles(
-    R: np.ndarray, mode: str, p: float | None, X: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Norm values at every antipodal representative, for the points X (P, n).
+def _low_sums(R: np.ndarray, X: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Signed sums (K, 2^(n-1), P) of the points X (P, n) when the high half
+    is empty: block k is low @ (X * r_k)^T."""
+    return low @ (X * R[:, None, :]).transpose(0, 2, 1)
 
-    Tiles have shape (rows * 2^a, P); together they cover all 2^(n-1)
-    patterns.  Pattern (j, i) has signed sums L_k[i] + H_k[j].
+
+def _split_tiles(
+    R: np.ndarray, mode: str, p: float | None, X: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Norm values of the points X (P, n) at every antipodal representative,
+    for a nonempty high half.
+
+    Yields (ps, t, tile): tile t (m, rows * 2^a) of the points ps..ps+m.  A
+    tile holds whole points: c = max(1, min(P, _TILE // 2^(n-1))) of them by
+    all 2^(n-1) patterns, or, above _TILE patterns, one point by ``rows``
+    whole high rows, so a point spans several tiles.  Pattern (j, i) of row k has
+    signed sum [H_k[j], 1] @ [1; L_k[i]], exactly H_k[j] + L_k[i]: one k=2
+    GEMM per row and point writes the outer sum.  Tiles live in buffers of
+    this call; each is overwritten by the next.
     """
-    low, high = tables
-    b = high.shape[1]
-    Ys = (X * R[:, None, :]).transpose(0, 2, 1)  # Ys[k] = (X * r_k)^T, shape (n, P)
-    Ls = [low @ Y[b:] for Y in Ys]
-    Hs = [high @ Y[:b] for Y in Ys] if b else []
-    rows = max(1, _TILE // Ls[0].size)
-    for j in range(0, high.shape[0], rows):
-        # with an empty high half the low sums are the signed sums
-        parts = (L + H[j : j + rows, None] for L, H in zip(Ls, Hs)) if b else Ls
-        vals = _combine_blocks(parts, mode, p)
-        yield vals.reshape(-1, X.shape[0])
+    K, b = R.shape[0], high.shape[1]
+    hi, lo = high.shape[0], low.shape[0]
+    c = max(1, min(X.shape[0], _TILE // (hi * lo)))
+    rows = min(hi, _TILE // lo)
+    HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
+    LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
+    T = np.empty((K, c, rows, lo))
+    for ps in range(0, X.shape[0], c):
+        Y = X[None, ps : ps + c] * R[:, None, :]  # Y[k] = X * r_k
+        m = Y.shape[1]
+        HA[:, :m, :, 0] = Y[..., :b] @ high.T
+        LA[:, :m, 1] = Y[..., b:] @ low.T
+        for t, j in enumerate(range(0, hi, rows)):
+            sums = np.matmul(HA[:, :m, j : j + rows], LA[:, :m], out=T[:, :m])
+            yield ps, t, _combine_blocks(sums, mode, p).reshape(m, -1)
 
 
 def iter_exact_value_blocks(
@@ -203,8 +216,12 @@ def iter_exact_value_blocks(
     _enum_guard(family.n, max_n)
     R, mode, p = _functional_rows(family)
     X = _check_points(family.n, x)[:1]
-    for vals in _value_tiles(R, mode, p, X, _split_tables(family.n)):
-        yield vals[:, 0]
+    low, high = _split_tables(family.n)
+    if not high.shape[1]:
+        yield _combine_blocks(_low_sums(R, X, low), mode, p)[:, 0]
+        return
+    for _, _, tile in _split_tiles(R, mode, p, X, low, high):
+        yield tile[0].copy()  # the next tile overwrites this one
 
 
 def exact_unconditional_norm(
@@ -222,9 +239,10 @@ def exact_unconditional_norm_many(
 ) -> np.ndarray:
     """Vectorized exact norm over the rows of X (shape (P, n)).
 
-    Points go in chunks small enough for a tile to stay in cache (2048 and
-    one tile per chunk when the high half is empty).  Compensated
-    accumulation: numpy sums within tiles, exact fsum across tiles.
+    With an empty high half (n <= 9) points go in chunks of 2048, one
+    (patterns, points) tile per chunk.  Otherwise each tile holds whole
+    points and numpy's pairwise sum reduces a point's values contiguously;
+    a point that spans several tiles is reduced across them by exact fsum.
     """
     n = inst.n
     _enum_guard(n, max_n)
@@ -232,44 +250,52 @@ def exact_unconditional_norm_many(
     P = X.shape[0]
     R, mode, p = _functional_rows(inst.family)
     total = half_enumeration_size(n)
-    tables = _split_tables(n)
-    chunk = _TILE_POINTS if tables[1].shape[1] else _PROBE_CHUNK
-    out = np.empty(P)
-    for ps in range(0, P, chunk):
-        tiles = _value_tiles(R, mode, p, X[ps : ps + chunk], tables)
-        sums = np.array([vals.sum(axis=0) for vals in tiles])
-        if len(sums) == 1:
-            out[ps : ps + chunk] = sums[0] / total
-        else:
-            # exact compensated reduction across tiles
-            out[ps : ps + chunk] = [math.fsum(s) / total for s in sums.T.tolist()]
-    return out
+    low, high = _split_tables(n)
+    if not high.shape[1]:
+        out = np.empty(P)
+        for ps in range(0, P, _PROBE_CHUNK):
+            vals = _combine_blocks(_low_sums(R, X[ps : ps + _PROBE_CHUNK], low), mode, p)
+            out[ps : ps + _PROBE_CHUNK] = vals.sum(axis=0) / total
+        return out
+    sums = np.empty((P, max(1, total // _TILE)))  # one column per tile of a point
+    for ps, t, tile in _split_tiles(R, mode, p, X, low, high):
+        sums[ps : ps + len(tile), t] = tile.sum(axis=1)
+    if sums.shape[1] == 1:
+        return sums[:, 0] / total
+    # exact compensated reduction across the tiles of each point
+    return np.array([math.fsum(s) / total for s in sums.tolist()])
 
 
-def _empirical_one(R: np.ndarray, mode: str, p: float | None, E: np.ndarray, x: np.ndarray) -> float:
-    """(1/N) sum_j ||column_j|| for a single coefficient vector x."""
-    T = (x[None, :] * R) @ E  # (K, N)
-    vals = _combine_blocks([T[k] for k in range(T.shape[0])], mode, p)
-    return math.fsum(map(float, vals)) / E.shape[1]
+def _empirical_many(R: np.ndarray, mode: str, p: float | None, E: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(1/N) sum_j ||column_j|| for each row of X (P, n).
+
+    Points go in chunks whose (c, K, N) block of signed sums stays near
+    _TILE elements.  Each point's block is its own (K, n) @ (n, N) product
+    and its column norms are summed by exact fsum, so a point's value does
+    not depend on the rest of its batch.
+    """
+    K, N = R.shape[0], E.shape[1]
+    c = max(1, _TILE // (K * N))
+    out = np.empty(X.shape[0])
+    for ps in range(0, X.shape[0], c):
+        T = (X[ps : ps + c, None, :] * R) @ E
+        vals = _combine_blocks(T.transpose(1, 0, 2), mode, p)
+        out[ps : ps + c] = [math.fsum(v) for v in vals.tolist()]
+    return out / N
 
 
 def empirical_norm(inst: EmpiricalNormInstance, x) -> float:
-    """(1/N) sum_j ||sum_i eps_ij x_i v_i||."""
-    x = _check_points(inst.n, x)[0]
+    """(1/N) sum_j ||sum_i eps_ij x_i v_i||: the batched kernel on a batch of one."""
+    X = _check_points(inst.n, x)[:1]
     R, mode, p = _functional_rows(inst.family)
-    return _empirical_one(R, mode, p, inst.signs.dense(), x)
+    return float(_empirical_many(R, mode, p, inst.signs.dense(), X)[0])
 
 
 def batch_empirical_norm(inst: EmpiricalNormInstance, xs) -> np.ndarray:
-    """Vectorized form of ``empirical_norm``: identical values elementwise.
-
-    Evaluates each point through the same kernel as the scalar call, so
-    the outputs match scalar calls bit for bit.
-    """
+    """Vectorized form of ``empirical_norm``: identical values elementwise."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(0)
     X = _check_points(inst.n, xs)
     R, mode, p = _functional_rows(inst.family)
-    E = inst.signs.dense()
-    return np.array([_empirical_one(R, mode, p, E, x) for x in X])
+    return _empirical_many(R, mode, p, inst.signs.dense(), X)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .signs import half_enumeration_size, half_gray_sign_block
-from .spaces import NormSpec, VectorFamily, norming_functional
+from .spaces import NormSpec, VectorFamily, lp_space, norming_functional
 from .symmetrize import (
     DEFAULT_MAX_ENUM_N,
     NormInstance,
@@ -223,19 +223,14 @@ class KhinchinBounds:
 
 
 def khinchin_bounds(y, max_n: int = DEFAULT_MAX_ENUM_N) -> KhinchinBounds:
-    """Exact Rademacher average of a scalar form with its classical sandwich."""
+    """Exact Rademacher average of a scalar form with its classical sandwich.
+
+    The average E|sum eps_i y_i| is the exact unconditional norm at y of n
+    unit vectors in the one-dimensional space lp_space(1, 1).
+    """
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if n > max_n:
-        raise CapacityError(f"khinchin enumeration capped at n <= {max_n}, got {n}")
-    total = half_enumeration_size(n)
-    sums = []
-    block = 1 << 16
-    for start in range(0, total, block):
-        count = min(block, total - start)
-        E = half_gray_sign_block(n, start, count)
-        sums.append(float(np.abs(E @ y).sum()))
-    exact = math.fsum(sums) / total
+    ones = VectorFamily(space=lp_space(1, 1), columns=np.ones((1, y.shape[0])))
+    exact = exact_unconditional_norm(NormInstance(family=ones), y, max_n=max_n)
     l2 = float(np.linalg.norm(y))
     return KhinchinBounds(lower=l2 / KHINCHIN_CONSTANT, exact=exact, upper=l2)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,18 +69,84 @@ class TestSplitKernel:
             np.testing.assert_allclose(got, direct_exact_norms(inst.family, X), rtol=1e-12, atol=0)
 
     def test_chunks_and_tiles(self, rng):
-        # n = 9: one tile per point, points over two chunks; n = 13: several
-        # tiles per point, reduced by fsum, and points over several chunks
-        for n, P in ((9, symmetrize._PROBE_CHUNK + 5), (13, 3 * symmetrize._TILE_POINTS + 1)):
+        # n = 9: one tile per chunk of points, two chunks; n = 13 and 16:
+        # tiles of whole points, several chunks; n = 17: a point spans
+        # several tiles, reduced by fsum
+        for n in (9, 13, 16, 17):
+            total = half_enumeration_size(n)
+            c = max(1, symmetrize._TILE // total)
+            P = symmetrize._PROBE_CHUNK + 5 if n == 9 else 2 * c + 1
             inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 3), n, rng))
             X = rng.standard_normal((P, n))
-            R, mode, p = symmetrize._functional_rows(inst.family)
-            tables = symmetrize._split_tables(n)
-            tiles = list(symmetrize._value_tiles(R, mode, p, X[: symmetrize._TILE_POINTS], tables))
-            assert (len(tiles) > 1) == (n > 9)
-            assert sum(t.shape[0] for t in tiles) == half_enumeration_size(n)
             got = nl.exact_unconditional_norm_many(inst, X)
             np.testing.assert_allclose(got, direct_exact_norms(inst.family, X), rtol=1e-12, atol=0)
+            if n == 9:
+                continue
+            # weights 2^i with the top sign pinned give every pattern its own
+            # positive signed sum s * (1, 3, ..., 2^n - 1) at point s * w
+            w = 2.0 ** np.arange(n)
+            X = np.arange(1, P + 1)[:, None] * w
+            fam = nl.make_family(nl.lp_space(1, 1), np.ones((n, 1)))
+            R, mode, p = symmetrize._functional_rows(fam)
+            seen, chunks, tiles_per_point = [[] for _ in range(P)], set(), 0
+            for ps, t, tile in symmetrize._split_tiles(R, mode, p, X, *symmetrize._split_tables(n)):
+                chunks.add(ps)
+                tiles_per_point = max(tiles_per_point, t + 1)
+                for i, row in enumerate(tile):
+                    seen[ps + i].append(row.copy())  # the next tile overwrites this one
+            assert len(chunks) == 3
+            assert tiles_per_point == (2 if n == 17 else 1)
+            for s, parts in enumerate(seen, start=1):
+                vals = np.sort(np.concatenate(parts))
+                assert np.array_equal(vals, s * np.arange(1.0, 2.0**n, 2.0))
+
+    @pytest.mark.parametrize("n", [10, 13, 16])
+    def test_many_is_accurate(self, rng, n):
+        # a sequential reduction down (patterns, points) tiles of 2^15 / P
+        # rows errs by up to about 3e-15 here (n = 13, P = 5)
+        inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 3), n, rng))
+        for P in (1, 5, 300):
+            X = rng.standard_normal((P, n))
+            want = direct_exact_norms(inst.family, X)
+            got = nl.exact_unconditional_norm_many(inst, X)
+            assert np.max(np.abs(got - want) / want) <= 4e-16
+
+    @pytest.mark.parametrize("n", [10, 16, 17])
+    @pytest.mark.parametrize("p", [1, "inf"])
+    def test_integer_inputs_are_exact(self, rng, n, p):
+        # every partial sum is an integer below 2^53, so the kernel must
+        # equal the int64 enumeration divided by 2^(n-1) bit for bit
+        V = rng.integers(-5, 6, size=(3, n))
+        V[0, V[0] == 0] = 1  # nonzero columns
+        X = rng.integers(-5, 6, size=(4, n))
+        fam = nl.make_family(nl.lp_space(p, 3), V.T.astype(np.float64))
+        E = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) * 2 - 1
+        E[:, n - 1] = 1  # one representative per antipodal pair
+        want = []
+        for x in X:
+            U = np.abs((E * x) @ V.T)
+            vals = U.sum(axis=1) if p == 1 else U.max(axis=1)
+            want.append(int(vals.sum()) / 2 ** (n - 1))
+        got = nl.exact_unconditional_norm_many(nl.NormInstance(family=fam), X.astype(np.float64))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_concurrent_calls_match_serial(self, rng, n):
+        # buffers belong to one kernel call, so calls on one instance from
+        # several threads at once give the serial results
+        inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 4), n, rng))
+        batches = [rng.standard_normal((int(rng.integers(1, 200)), n)) for _ in range(8)]
+        serial = [nl.exact_unconditional_norm_many(inst, X) for X in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(nl.exact_unconditional_norm_many, inst, X) for X in batches]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_small_n_is_one_gemm_with_the_whole_half_table(self, rng, n):
