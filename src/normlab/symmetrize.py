@@ -16,12 +16,13 @@ L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small GEMMs, and
 pattern (j, i) has signed sum H_k[j] + L_k[i].  That outer sum is itself a
 GEMM with inner dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It
 is written into buffers that belong to one kernel call, so concurrent
-calls share nothing.  A tile holds whole points by all their patterns (a
-point with more than 2^15 patterns spans several tiles); the rows are
-combined in place, numpy's pairwise sum reduces each point's values
-contiguously, and the tiles of one point are combined with exact
-compensated summation (math.fsum).  For n <= 9 the high half is empty
-and the low table is the whole half enumeration.
+calls share nothing.  A tile holds whole points by all their patterns,
+about 2^15 signed sums per functional row and 2^20 over all rows (a point
+with more patterns than that spans several tiles); the rows are combined
+in place, numpy's pairwise sum reduces each point's values contiguously,
+and the tiles of one point are combined with exact compensated summation
+(math.fsum).  For n <= 9 the high half is empty and the low table is the
+whole half enumeration.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from .spaces import NormSpec, VectorFamily, validate_family
 # default cap on n for exact 2^n enumeration (configurable per call)
 DEFAULT_MAX_ENUM_N = 22
 
-# split enumeration: sign bits of the low half, elements of one combine
-# tile, points per chunk with an empty high half
+# split enumeration: sign bits of the low half, signed sums per row block
+# of a combine tile and in all K row blocks, points per chunk with an empty
+# high half
 _LOW_BITS = 8
 _TILE = 1 << 15
+_BUFFER = 1 << 20
 _PROBE_CHUNK = 2048
 
 
@@ -161,37 +164,46 @@ def _high_table(b: int) -> np.ndarray:
     return table
 
 
-def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (low, high) tables: low (2^a, a+1) walks signs b..n-2 with sign
-    n-1 pinned +1 (the half table of a+1 signs), high (2^b, b) signs 0..b-1."""
-    a = min(n - 1, _LOW_BITS)
-    return half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
-
-
 def _low_sums(R: np.ndarray, X: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Signed sums (K, 2^(n-1), P) of the points X (P, n) when the high half
     is empty: block k is low @ (X * r_k)^T."""
     return low @ (X * R[:, None, :]).transpose(0, 2, 1)
 
 
-def _split_tiles(
-    R: np.ndarray, mode: str, p: float | None, X: np.ndarray, low: np.ndarray, high: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Norm values of the points X (P, n) at every antipodal representative,
-    for a nonempty high half.
+def _value_tiles(
+    R: np.ndarray, mode: str, p: float | None, X: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Norm values of the points X (P, n) at every antipodal representative.
 
-    Yields (ps, t, tile): tile t (m, rows * 2^a) of the points ps..ps+m.  A
-    tile holds whole points: c = max(1, min(P, _TILE // 2^(n-1))) of them by
-    all 2^(n-1) patterns, or, above _TILE patterns, one point by ``rows``
-    whole high rows, so a point spans several tiles.  Pattern (j, i) of row k has
-    signed sum [H_k[j], 1] @ [1; L_k[i]], exactly H_k[j] + L_k[i]: one k=2
-    GEMM per row and point writes the outer sum.  Tiles live in buffers of
-    this call; each is overwritten by the next.
+    Yields (ps, tile): tile (m, patterns) holds the values of the points
+    ps..ps+m at a run of their patterns.  The tiles of one chunk of points
+    come one after another and cover each pattern exactly once; a tile is
+    overwritten by the next one.
+
+    With an empty high half (n <= 9) a chunk is 2048 points and its one tile
+    is the combined ``_low_sums``.  Otherwise each of the K row blocks of a
+    tile holds about t = min(_TILE, _BUFFER // K) signed sums:
+    c = max(1, min(P, t // 2^(n-1))) whole points by all their patterns, or
+    one point by a power of two of whole high rows, so a point with more than
+    t patterns spans several tiles.  Pattern (j, i) of row k has signed sum
+    [H_k[j], 1] @ [1; L_k[i]], exactly H_k[j] + L_k[i]: one k=2 GEMM per row
+    and point writes the outer sum into buffers of this call.  They hold at
+    most about max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
     """
+    n = X.shape[1]
+    a = min(n - 1, _LOW_BITS)
+    # low walks signs b..n-2 with sign n-1 pinned +1, high signs 0..b-1
+    low, high = half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
     K, b = R.shape[0], high.shape[1]
+    if not b:
+        for ps in range(0, X.shape[0], _PROBE_CHUNK):
+            vals = _combine_blocks(_low_sums(R, X[ps : ps + _PROBE_CHUNK], low), mode, p)
+            yield ps, vals.T
+        return
     hi, lo = high.shape[0], low.shape[0]
-    c = max(1, min(X.shape[0], _TILE // (hi * lo)))
-    rows = min(hi, _TILE // lo)
+    tile = min(_TILE, _BUFFER // K)  # signed sums per row block
+    c = max(1, min(X.shape[0], tile // (hi * lo)))
+    rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
     HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
     LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
     T = np.empty((K, c, rows, lo))
@@ -200,9 +212,9 @@ def _split_tiles(
         m = Y.shape[1]
         HA[:, :m, :, 0] = Y[..., :b] @ high.T
         LA[:, :m, 1] = Y[..., b:] @ low.T
-        for t, j in enumerate(range(0, hi, rows)):
+        for j in range(0, hi, rows):
             sums = np.matmul(HA[:, :m, j : j + rows], LA[:, :m], out=T[:, :m])
-            yield ps, t, _combine_blocks(sums, mode, p).reshape(m, -1)
+            yield ps, _combine_blocks(sums, mode, p).reshape(m, -1)
 
 
 def iter_exact_value_blocks(
@@ -215,12 +227,7 @@ def iter_exact_value_blocks(
     """
     _enum_guard(family.n, max_n)
     R, mode, p = _functional_rows(family)
-    X = _check_points(family.n, x)[:1]
-    low, high = _split_tables(family.n)
-    if not high.shape[1]:
-        yield _combine_blocks(_low_sums(R, X, low), mode, p)[:, 0]
-        return
-    for _, _, tile in _split_tiles(R, mode, p, X, low, high):
+    for _, tile in _value_tiles(R, mode, p, _check_points(family.n, x)[:1]):
         yield tile[0].copy()  # the next tile overwrites this one
 
 
@@ -239,31 +246,23 @@ def exact_unconditional_norm_many(
 ) -> np.ndarray:
     """Vectorized exact norm over the rows of X (shape (P, n)).
 
-    With an empty high half (n <= 9) points go in chunks of 2048, one
-    (patterns, points) tile per chunk.  Otherwise each tile holds whole
-    points and numpy's pairwise sum reduces a point's values contiguously;
-    a point that spans several tiles is reduced across them by exact fsum.
+    numpy sums each tile's values per point; a point that spans several
+    tiles is reduced across them by exact fsum.
     """
     n = inst.n
     _enum_guard(n, max_n)
     X = _check_points(n, X)
-    P = X.shape[0]
     R, mode, p = _functional_rows(inst.family)
-    total = half_enumeration_size(n)
-    low, high = _split_tables(n)
-    if not high.shape[1]:
-        out = np.empty(P)
-        for ps in range(0, P, _PROBE_CHUNK):
-            vals = _combine_blocks(_low_sums(R, X[ps : ps + _PROBE_CHUNK], low), mode, p)
-            out[ps : ps + _PROBE_CHUNK] = vals.sum(axis=0) / total
-        return out
-    sums = np.empty((P, max(1, total // _TILE)))  # one column per tile of a point
-    for ps, t, tile in _split_tiles(R, mode, p, X, low, high):
-        sums[ps : ps + len(tile), t] = tile.sum(axis=1)
-    if sums.shape[1] == 1:
-        return sums[:, 0] / total
-    # exact compensated reduction across the tiles of each point
-    return np.array([math.fsum(s) / total for s in sums.tolist()])
+    sums: dict[int, list[np.ndarray]] = {}  # per chunk, its points' sum in each tile
+    for ps, tile in _value_tiles(R, mode, p, X):
+        sums.setdefault(ps, []).append(tile.sum(axis=1))
+    out = np.empty(X.shape[0])
+    for ps, parts in sums.items():
+        if len(parts) > 1:
+            # exact compensated reduction across the tiles of each point
+            parts = [np.array([math.fsum(s) for s in zip(*(q.tolist() for q in parts))])]
+        out[ps : ps + len(parts[0])] = parts[0] / half_enumeration_size(n)
+    return out
 
 
 def _empirical_many(R: np.ndarray, mode: str, p: float | None, E: np.ndarray, X: np.ndarray) -> np.ndarray:

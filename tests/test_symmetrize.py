@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -88,28 +89,54 @@ class TestSplitKernel:
             X = np.arange(1, P + 1)[:, None] * w
             fam = nl.make_family(nl.lp_space(1, 1), np.ones((n, 1)))
             R, mode, p = symmetrize._functional_rows(fam)
-            seen, chunks, tiles_per_point = [[] for _ in range(P)], set(), 0
-            for ps, t, tile in symmetrize._split_tiles(R, mode, p, X, *symmetrize._split_tables(n)):
-                chunks.add(ps)
-                tiles_per_point = max(tiles_per_point, t + 1)
+            seen = [[] for _ in range(P)]
+            tiles = {}  # tiles per chunk of points
+            for ps, tile in symmetrize._value_tiles(R, mode, p, X):
+                tiles[ps] = tiles.get(ps, 0) + 1
                 for i, row in enumerate(tile):
                     seen[ps + i].append(row.copy())  # the next tile overwrites this one
-            assert len(chunks) == 3
-            assert tiles_per_point == (2 if n == 17 else 1)
+            assert len(tiles) == (2 if n == 9 else 3)
+            assert set(tiles.values()) == {2 if n == 17 else 1}
             for s, parts in enumerate(seen, start=1):
                 vals = np.sort(np.concatenate(parts))
                 assert np.array_equal(vals, s * np.arange(1.0, 2.0**n, 2.0))
 
+    def test_wide_polytope_keeps_buffers_small(self, rng):
+        # K = 600 functional rows: each row block of a tile shrinks to
+        # _BUFFER // K signed sums (four tiles per point at n = 13), so the
+        # call allocates a few _BUFFER doubles, not K * _TILE (150 MiB here)
+        fam = random_family(nl.polytope_space(rng.standard_normal((600, 3))), 13, rng)
+        inst = nl.NormInstance(family=fam)
+        X = rng.standard_normal((8, 13))
+        nl.exact_unconditional_norm_many(inst, X[:1])  # warm the sign tables
+        tracemalloc.start()
+        try:
+            got = nl.exact_unconditional_norm_many(inst, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20  # bytes
+        np.testing.assert_allclose(got, direct_exact_norms(fam, X), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n", [10, 13, 16])
     def test_many_is_accurate(self, rng, n):
-        # a sequential reduction down (patterns, points) tiles of 2^15 / P
-        # rows errs by up to about 3e-15 here (n = 13, P = 5)
-        inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 3), n, rng))
+        # against each signed sum rounded once (fsum over its terms) and an
+        # fsum mean, the kernel stays within a few units of roundoff; a
+        # sequential reduction down (patterns, points) tiles of 2^15 / P rows
+        # errs by up to about 3e-15 here (n = 13, P = 5)
+        fam = random_family(nl.lp_space("inf", 3), n, rng)
+        inst = nl.NormInstance(family=fam)
+        E = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        E[:, n - 1] = 1.0  # one representative per antipodal pair
         for P in (1, 5, 300):
             X = rng.standard_normal((P, n))
-            want = direct_exact_norms(inst.family, X)
             got = nl.exact_unconditional_norm_many(inst, X)
-            assert np.max(np.abs(got - want) / want) <= 4e-16
+            for i in sorted({0, P // 2, P - 1}):
+                Y = X[i] * fam.columns  # the products the kernel sums, row by row
+                terms = (E[:, None, :] * Y).reshape(-1, n).tolist()
+                sums = np.array([math.fsum(t) for t in terms]).reshape(-1, len(Y))
+                want = math.fsum(np.abs(sums).max(axis=1)) / 2 ** (n - 1)
+                assert abs(got[i] - want) <= 4e-16 * want
 
     @pytest.mark.parametrize("n", [10, 16, 17])
     @pytest.mark.parametrize("p", [1, "inf"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab.errors import CapacityError
+from normlab.errors import CapacityError, NonFiniteInputError
 
 from conftest import random_family, space_menu
 
@@ -125,6 +125,12 @@ class TestKhinchin:
     def test_cap(self):
         with pytest.raises(CapacityError):
             nl.khinchin_bounds(np.ones(23))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_rejected(self, bad):
+        # the exact kernel refuses non-finite points
+        with pytest.raises(NonFiniteInputError):
+            nl.khinchin_bounds([1.0, bad, 2.0])
 
 
 class TestVarianceNormRatio:
