@@ -76,10 +76,8 @@ from .signs import (
     sample_sign_matrix,
 )
 from .spaces import (
-    DualDescription,
     NormSpec,
     VectorFamily,
-    dual_extreme_points,
     family_from_json,
     family_to_json,
     load_family,

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,9 +53,14 @@ EXPERIMENTS = (
 DEFAULT_CAPS = {"max_enum_n": 22, "max_dual_vertices_m": 20}
 
 
-def _schema() -> dict:
+@cache
+def _validator():
+    """Validator of the shipped schema; the schema is read and checked once."""
     ref = importlib.resources.files("normlab") / "schemas" / "config.schema.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass
@@ -122,9 +128,9 @@ def load_config(path, *, experiment: str | None = None, overrides: dict | None =
 
 
 def validate_config(doc: dict, *, path: str | None = None, experiment: str | None = None) -> ExperimentConfig:
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if exc is not None:
         fld = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(
             f"config field '{fld}' is invalid: {exc.message}", field=fld, path=path

@@ -7,6 +7,13 @@ every current net point exceeds theta.  Separation is therefore certified
 by construction, and any theta-separated subset of the unit sphere obeys
 the packing bound (3/theta)^n for theta <= 1.
 
+Each decision asks whether some net point lies within theta.  A candidate
+is first tested against its few nearest net points in the Euclidean
+metric, where a hit is usually found, and only a candidate with no hit
+there gets its full exact distance row.  The Euclidean order is never
+used as a bound, and an exact distance has the same bits in any batch,
+so every decision, and hence the net, is that of the full distance row.
+
 Covering of the whole sphere is heuristic in general; for n <= 3 a dense
 deterministic grid pass upgrades the status to "certified-small-n" when
 every grid point lies within theta of the net.
@@ -35,6 +42,10 @@ COVERING_HEURISTIC = "heuristic"
 # greedy stop rule: this many consecutive rejected candidates per net point
 _BUDGET_PER_POINT = 50
 _CANDIDATE_BATCH = 64
+# nearest-first check: net points per candidate tried before its full
+# distance row, and candidates per block of that row
+_NEAREST = 2
+_ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,39 @@ class NetDecomposition:
     indices: list[int]
     points: np.ndarray = field(repr=False)
     residual_norm: float
+
+
+def _far_from(
+    inst: NormInstance, X: np.ndarray, base: np.ndarray, threshold: float, max_n: int
+) -> np.ndarray:
+    """Per row of X: is every point of ``base`` farther than ``threshold``?
+
+    Distances are exact norms.  Each row first meets its ``_NEAREST`` base
+    points nearest in the Euclidean metric, in one kernel call; a hit at or
+    below ``threshold`` settles the row.  Only the rows left get their full
+    distance row.  The Euclidean order only decides which distances are
+    computed first; the answer is the one of the full distance row.
+    """
+    far = np.ones(X.shape[0], dtype=bool)
+    m, n = base.shape
+    k = min(_NEAREST, m)
+    sq = np.square(base).sum(axis=1)
+    for s in range(0, X.shape[0] if m else 0, _ROW_CHUNK):
+        B = X[s : s + _ROW_CHUNK]
+        # squared Euclidean distances less |x|^2, which the order ignores
+        near = np.argpartition(sq - 2.0 * (B @ base.T), k - 1, axis=1)[:, :k]
+        d = exact_unconditional_norm_many(
+            inst, (B[:, None] - base[near]).reshape(-1, n), max_n=max_n
+        )
+        ok = (d.reshape(-1, k) > threshold).all(axis=1)
+        rest = np.flatnonzero(ok)
+        if rest.size and k < m:
+            D = exact_unconditional_norm_many(
+                inst, (B[rest, None] - base).reshape(-1, n), max_n=max_n
+            )
+            ok[rest] = (D.reshape(rest.size, m) > threshold).all(axis=1)
+        far[s : s + ok.size] = ok
+    return far
 
 
 def _distances_to(inst: NormInstance, x: np.ndarray, pts: np.ndarray, max_n: int) -> np.ndarray:
@@ -102,21 +146,6 @@ def _grid_directions(n: int) -> np.ndarray | None:
     return None
 
 
-def _min_distance_rows(
-    inst: NormInstance, X: np.ndarray, pts: np.ndarray, max_n: int, chunk: int = 256
-) -> np.ndarray:
-    """min over net points of the exact-norm distance, per row of X."""
-    out = np.empty(X.shape[0])
-    for s in range(0, X.shape[0], chunk):
-        block = X[s : s + chunk]
-        diffs = block[:, None, :] - pts[None, :, :]
-        d = exact_unconditional_norm_many(
-            inst, diffs.reshape(-1, inst.n), max_n=max_n
-        ).reshape(block.shape[0], pts.shape[0])
-        out[s : s + chunk] = d.min(axis=1)
-    return out
-
-
 def build_net(
     inst: NormInstance,
     theta: float,
@@ -143,30 +172,25 @@ def build_net(
         return budget if budget is not None else _BUDGET_PER_POINT * max(1, len(pts))
 
     def offer_batch(cands: np.ndarray) -> None:
-        # distances to the pre-batch net in one call; accepts within the
-        # batch are checked incrementally so the sequential greedy order
-        # (and hence the result) is unchanged
+        # the pre-batch net in one pass; accepts within the batch are
+        # checked one by one, so the sequential greedy order (and hence
+        # the result) is unchanged
         nonlocal rejects, spent
-        base = np.array(pts) if pts else None
-        D = None
-        if base is not None:
-            diffs = cands[:, None, :] - base[None, :, :]
-            D = exact_unconditional_norm_many(
-                inst, diffs.reshape(-1, n), max_n=max_n
-            ).reshape(cands.shape[0], base.shape[0])
+        far = _far_from(inst, cands, np.reshape(pts, (-1, n)), theta, max_n).tolist()
         fresh: list[np.ndarray] = []
-        for i, c in enumerate(cands):
+        stop = effective_budget()
+        for c, ok in zip(cands, far):
             spent += 1
-            dmin = float(D[i].min()) if D is not None else np.inf
-            if fresh and dmin > theta:
-                dmin = min(dmin, float(_distances_to(inst, c, np.array(fresh), max_n).min()))
-            if dmin > theta:
+            if ok and fresh:
+                ok = bool(_far_from(inst, c[None, :], np.array(fresh), theta, max_n)[0])
+            if ok:
                 pts.append(c)
                 fresh.append(c)
                 rejects = 0
+                stop = effective_budget()
             else:
                 rejects += 1
-                if rejects >= effective_budget():
+                if rejects >= stop:
                     return
 
     offer_batch(_coordinate_seeds(inst, max_n))
@@ -181,8 +205,7 @@ def build_net(
         gnorms = exact_unconditional_norm_many(inst, grid, max_n=max_n)
         gpts = grid / gnorms[:, None]
         for _ in range(gpts.shape[0]):
-            mind = _min_distance_rows(inst, gpts, np.array(pts), max_n)
-            misses = np.flatnonzero(mind > theta + 1e-12)
+            misses = np.flatnonzero(_far_from(inst, gpts, np.array(pts), theta + 1e-12, max_n))
             if misses.size == 0:
                 status = COVERING_CERTIFIED
                 break

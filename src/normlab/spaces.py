@@ -7,31 +7,24 @@ The ambient space is always R^m equipped with one norm from a closed menu:
 * ``polytope`` -- ||u|| = max over a finite symmetric set of functionals
                   of |<phi, u>|.  One representative per +/- pair is stored.
 
-Every norm on the menu comes with an explicit description of the extreme
-points of its dual unit ball (or an honest marker when the description is
-not a finite point set), which is what the weak-variance computation needs.
+Every norm on the menu comes with a norming functional (a subgradient of
+the norm), which the weak-variance and descent computations use.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     NonFiniteInputError,
     ZeroVectorError,
 )
 
 ZERO_VECTOR_TOL = 1e-12
-
-# Dual-cube vertex sets are materialized only up to this dimension.
-DUAL_VERTEX_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -142,68 +135,6 @@ def norm_eval(space: NormSpec, u) -> float:
     """||u|| with full input validation."""
     u = _check_point(space, u)
     return float(norm_rows(space, u))
-
-
-@dataclass(frozen=True)
-class DualDescription:
-    """Finite (or marker) description of the dual unit ball's extreme points.
-
-    ``kind`` is one of:
-      * "points":        ``points`` is the full +/- closed set (k x m).
-      * "euclidean":     spectral handling applies; no finite point set.
-      * "smooth-lp":     1 < p < inf, p != 2; ``norming_map`` sends u != 0
-                         to the unique norming functional.
-      * "vertex-stream": dual-cube vertices too numerous to materialize;
-                         ``iter_blocks`` yields them in blocks.
-    """
-
-    kind: str
-    points: np.ndarray | None = None
-    norming_map: Callable[[np.ndarray], np.ndarray] | None = None
-    iter_blocks: Callable[[], Iterator[np.ndarray]] | None = None
-
-
-def _cube_vertex_blocks(m: int, block: int = 1 << 14) -> Iterator[np.ndarray]:
-    """All 2^m sign vertices of [-1,1]^m in index order, in blocks."""
-    total = 1 << m
-    cols = np.arange(m, dtype=np.uint64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint64)
-        bits = (idx[:, None] >> cols[None, :]) & 1
-        yield bits.astype(np.float64) * 2.0 - 1.0
-
-
-def dual_extreme_points(space: NormSpec, materialize: bool = True) -> DualDescription:
-    """Describe the extreme points of the dual unit ball.
-
-    l_inf -> {+-e_k}; l_1 -> the 2^m sign vertices (materialized only for
-    m <= DUAL_VERTEX_CAP); l_2 -> marker "euclidean"; other finite p ->
-    marker "smooth-lp" with the norming-functional map; polytope -> the
-    +/- closure of the stored functionals.
-    """
-    m = space.dim
-    if space.kind == "polytope":
-        pts = np.vstack([space.functionals, -space.functionals])
-        return DualDescription(kind="points", points=pts)
-    p = space.p
-    if p is None:
-        eye = np.eye(m)
-        return DualDescription(kind="points", points=np.vstack([eye, -eye]))
-    if p == 1.0:
-        if m > DUAL_VERTEX_CAP:
-            if materialize:
-                raise CapacityError(
-                    f"l1 dual ball has 2^{m} vertices; materialization capped at "
-                    f"m <= {DUAL_VERTEX_CAP}"
-                )
-            return DualDescription(
-                kind="vertex-stream", iter_blocks=lambda: _cube_vertex_blocks(m)
-            )
-        blocks = list(_cube_vertex_blocks(m))
-        return DualDescription(kind="points", points=np.vstack(blocks))
-    if p == 2.0:
-        return DualDescription(kind="euclidean")
-    return DualDescription(kind="smooth-lp", norming_map=lambda u: norming_functional(space, u))
 
 
 def norming_functional(space: NormSpec, u) -> np.ndarray:

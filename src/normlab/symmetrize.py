@@ -164,6 +164,16 @@ def _high_table(b: int) -> np.ndarray:
     return table
 
 
+def _two_rows(Y: np.ndarray, axis: int) -> np.ndarray:
+    """Y with a lone row along ``axis`` repeated once.
+
+    numpy multiplies by a one-row or one-column operand on its matrix-vector
+    BLAS path, which rounds differently from the matrix-matrix path of larger
+    batches; padding keeps every point's value independent of its batch.
+    """
+    return Y if Y.shape[axis] > 1 else np.concatenate([Y, Y], axis=axis)
+
+
 def _low_sums(R: np.ndarray, X: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Signed sums (K, 2^(n-1), P) of the points X (P, n) when the high half
     is empty: block k is low @ (X * r_k)^T."""
@@ -178,11 +188,15 @@ def _value_tiles(
     Yields (ps, tile): tile (m, patterns) holds the values of the points
     ps..ps+m at a run of their patterns.  The tiles of one chunk of points
     come one after another and cover each pattern exactly once; a tile is
-    overwritten by the next one.
+    overwritten by the next one.  A small product that a batch would make
+    with several points takes at least two rows (``_two_rows``), so a
+    point's values do not depend on its batch.
 
     With an empty high half (n <= 9) a chunk is 2048 points and its one tile
-    is the combined ``_low_sums``.  Otherwise each of the K row blocks of a
-    tile holds about t = min(_TILE, _BUFFER // K) signed sums:
+    is the combined ``_low_sums``; a one-point chunk is computed twice over,
+    so its tile has a second row that repeats the first.  Otherwise each of
+    the K row blocks of a tile holds about t = min(_TILE, _BUFFER // K)
+    signed sums:
     c = max(1, min(P, t // 2^(n-1))) whole points by all their patterns, or
     one point by a power of two of whole high rows, so a point with more than
     t patterns spans several tiles.  Pattern (j, i) of row k has signed sum
@@ -197,12 +211,14 @@ def _value_tiles(
     K, b = R.shape[0], high.shape[1]
     if not b:
         for ps in range(0, X.shape[0], _PROBE_CHUNK):
-            vals = _combine_blocks(_low_sums(R, X[ps : ps + _PROBE_CHUNK], low), mode, p)
+            Xc = _two_rows(X[ps : ps + _PROBE_CHUNK], 0)
+            vals = _combine_blocks(_low_sums(R, Xc, low), mode, p)
             yield ps, vals.T
         return
     hi, lo = high.shape[0], low.shape[0]
     tile = min(_TILE, _BUFFER // K)  # signed sums per row block
-    c = max(1, min(X.shape[0], tile // (hi * lo)))
+    fit = tile // (hi * lo)  # whole points per tile
+    c = max(1, min(X.shape[0], fit))
     rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
     HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
     LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
@@ -210,8 +226,10 @@ def _value_tiles(
     for ps in range(0, X.shape[0], c):
         Y = X[None, ps : ps + c] * R[:, None, :]  # Y[k] = X * r_k
         m = Y.shape[1]
-        HA[:, :m, :, 0] = Y[..., :b] @ high.T
-        LA[:, :m, 1] = Y[..., b:] @ low.T
+        # with at most one point per tile every point is multiplied alone
+        Y2 = _two_rows(Y, 1) if fit > 1 else Y
+        HA[:, :m, :, 0] = (Y2[..., :b] @ high.T)[:, :m]
+        LA[:, :m, 1] = (Y2[..., b:] @ low.T)[:, :m]
         for j in range(0, hi, rows):
             sums = np.matmul(HA[:, :m, j : j + rows], LA[:, :m], out=T[:, :m])
             yield ps, _combine_blocks(sums, mode, p).reshape(m, -1)
@@ -255,7 +273,8 @@ def exact_unconditional_norm_many(
     R, mode, p = _functional_rows(inst.family)
     sums: dict[int, list[np.ndarray]] = {}  # per chunk, its points' sum in each tile
     for ps, tile in _value_tiles(R, mode, p, X):
-        sums.setdefault(ps, []).append(tile.sum(axis=1))
+        # summed before a padded copy of a lone point is dropped, as in a batch
+        sums.setdefault(ps, []).append(tile.sum(axis=1)[: X.shape[0] - ps])
     out = np.empty(X.shape[0])
     for ps, parts in sums.items():
         if len(parts) > 1:

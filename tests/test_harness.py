@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -54,6 +55,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             validate_config(doc, experiment="distortion")
         assert exc.value.field == "trials"
+
+    def test_schema_is_checked_once(self, tmp_path, family_file, monkeypatch):
+        calls = []
+        cls = jsonschema.Draft202012Validator
+        check = cls.check_schema
+        monkeypatch.setattr(
+            cls, "check_schema", lambda schema, **kw: calls.append(1) or check(schema, **kw)
+        )
+        doc = base_config(tmp_path, family_file, trials=2, xi=0.5)
+        for _ in range(3):
+            validate_config(doc, experiment="distortion")
+        assert len(calls) <= 1
 
     def test_experiment_mismatch(self, tmp_path, family_file):
         doc = base_config(tmp_path, family_file, experiment="xi-sweep", trials=2, xi=0.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
+from normlab import nets
 from normlab.errors import CoveringViolationError
 
 from conftest import random_family
@@ -145,3 +146,93 @@ def test_net_json_round_trip(inst3, tmp_path):
     assert back.theta == net.theta
     assert back.covering_status == net.covering_status
     assert np.array_equal(back.points, net.points)
+
+
+def naive_greedy(inst, theta, budget, seed):
+    """The greedy rule written plainly: each candidate's full distance row to
+    the net, one candidate at a time, with the stream, budget rule and
+    covering pass of build_net."""
+    n = inst.n
+    exact = nl.exact_unconditional_norm_many
+    rng = np.random.default_rng(np.uint64(nl.derive_seed(seed, 0)))
+    pts, rejects, spent = [], 0, 0
+
+    def stop():
+        return budget if budget is not None else nets._BUDGET_PER_POINT * max(1, len(pts))
+
+    def offer(cands):
+        nonlocal rejects, spent
+        for c in cands:
+            spent += 1
+            if not pts or exact(inst, c - np.array(pts)).min() > theta:
+                pts.append(c)
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects >= stop():
+                    return
+
+    dirs = np.vstack([np.eye(n), -np.eye(n)])
+    offer(dirs / exact(inst, dirs)[:, None])
+    while rejects < stop():
+        g = rng.standard_normal((nets._CANDIDATE_BATCH, n))
+        offer(g / exact(inst, g)[:, None])
+    status = "heuristic"
+    if n <= 3:
+        grid = nets._grid_directions(n)
+        grid = grid / exact(inst, grid)[:, None]
+        for _ in range(len(grid)):
+            net = np.array(pts)
+            d = exact(inst, (grid[:, None, :] - net).reshape(-1, n)).reshape(len(grid), -1)
+            misses = grid[d.min(axis=1) > theta + 1e-12]
+            if not len(misses):
+                status = "certified-small-n"
+                break
+            rejects = 0
+            offer(misses)
+    return np.array(pts), spent, status
+
+
+NAIVE_SPACES = {
+    "linf": nl.lp_space("inf", 3),
+    "l1": nl.lp_space(1, 3),
+    "l2": nl.lp_space(2, 3),
+    "l3": nl.lp_space(3, 3),
+    "poly": nl.polytope_space([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, -1.0]]),
+}
+
+
+class TestAgainstNaiveGreedy:
+    @pytest.mark.parametrize(
+        "n,thetas",
+        [(1, (0.25, 1.0)), (2, (0.25, 0.5)), (3, (0.5, 0.6)), (4, (0.6, 1.0)), (5, (1.0,)), (6, (1.0,))],
+    )
+    @pytest.mark.parametrize("space", NAIVE_SPACES.values(), ids=NAIVE_SPACES.keys())
+    def test_same_net(self, rng, space, n, thetas):
+        inst = nl.NormInstance(family=random_family(space, n, rng))
+        for theta in thetas:
+            for budget in (None, 30):
+                net = nl.build_net(inst, theta, budget=budget, seed=n)
+                pts, spent, status = naive_greedy(inst, theta, budget, seed=n)
+                assert np.array_equal(net.points, pts)
+                assert net.candidate_budget == spent
+                assert net.covering_status == status
+
+    @pytest.mark.parametrize("budget", [None, 30])
+    def test_same_net_with_unequal_column_scales(self, budget):
+        n, theta = 4, 0.6
+        V = np.random.default_rng(3).standard_normal((n, 3)) * np.array([1.0, 40.0, 0.02, 5.0])[:, None]
+        inst = nl.NormInstance(family=nl.make_family(nl.lp_space("inf", 3), V))
+        pts, spent, status = naive_greedy(inst, theta, budget, seed=n)
+        # the Euclidean nearest net point is often not the nearest in the
+        # norm, and the nearest-first check still answers as the full rows
+        X = nl.sphere_sample(inst, 300, seed=n)
+        diffs = X[:, None, :] - pts
+        d = nl.exact_unconditional_norm_many(inst, diffs.reshape(-1, n)).reshape(len(X), -1)
+        euclid = np.square(diffs).sum(axis=2)
+        assert (d.argmin(axis=1) != euclid.argmin(axis=1)).mean() > 0.2
+        far = nets._far_from(inst, X, pts, theta, nets.DEFAULT_MAX_ENUM_N)
+        assert np.array_equal(far, (d > theta).all(axis=1))
+        net = nl.build_net(inst, theta, budget=budget, seed=n)
+        assert np.array_equal(net.points, pts)
+        assert (net.candidate_budget, net.covering_status) == (spent, status)

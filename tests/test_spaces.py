@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import normlab as nl
 from normlab.errors import (
-    CapacityError,
     DimensionMismatchError,
     NonFiniteInputError,
     ZeroVectorError,
@@ -55,47 +54,13 @@ def test_norm_axioms(space_idx, u, w, t):
     assert nl.norm_eval(space, u + w) <= nu + nw + 1e-9 * max(1.0, nu + nw)
 
 
-class TestDualExtremePoints:
-    def test_sup_norm_unit_vectors(self):
-        d = nl.dual_extreme_points(nl.lp_space("inf", 3))
-        assert d.kind == "points"
-        expected = {tuple(r) for r in np.vstack([np.eye(3), -np.eye(3)])}
-        assert {tuple(r) for r in d.points} == expected
-
-    def test_euclidean_marker(self):
-        assert nl.dual_extreme_points(nl.lp_space(2, 5)).kind == "euclidean"
-
-    def test_l1_dim2_four_vertices(self):
-        d = nl.dual_extreme_points(nl.lp_space(1, 2))
-        assert d.kind == "points"
-        assert {tuple(r) for r in d.points} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-
-    def test_l1_large_m_capacity(self):
-        with pytest.raises(CapacityError):
-            nl.dual_extreme_points(nl.lp_space(1, 21), materialize=True)
-
-    def test_l1_large_m_lazy_stream(self):
-        d = nl.dual_extreme_points(nl.lp_space(1, 21), materialize=False)
-        assert d.kind == "vertex-stream"
-        first = next(d.iter_blocks())
-        assert first.shape[1] == 21
-        assert np.isin(first, (-1.0, 1.0)).all()
-
-    def test_smooth_lp_marker_and_norming_map(self):
-        space = nl.lp_space(3, 4)
-        d = nl.dual_extreme_points(space)
-        assert d.kind == "smooth-lp"
-        u = np.array([1.0, -2.0, 0.5, 0.0])
-        phi = d.norming_map(u)
-        q = 3 / 2  # dual exponent
-        assert np.sum(np.abs(phi) ** q) ** (1 / q) == pytest.approx(1.0, rel=1e-12)
-        assert phi @ u == pytest.approx(nl.norm_eval(space, u), rel=1e-12)
-
-    def test_sup_norm_matches_signed_max_over_dual_points(self, rng):
-        space = nl.lp_space("inf", 4)
-        pts = nl.dual_extreme_points(space).points
-        for u in rng.standard_normal((20, 4)):
-            assert nl.norm_eval(space, u) == (pts @ u).max()
+def test_smooth_lp_norming_functional():
+    space = nl.lp_space(3, 4)
+    u = np.array([1.0, -2.0, 0.5, 0.0])
+    phi = nl.norming_functional(space, u)
+    q = 3 / 2  # dual exponent
+    assert np.sum(np.abs(phi) ** q) ** (1 / q) == pytest.approx(1.0, rel=1e-12)
+    assert phi @ u == pytest.approx(nl.norm_eval(space, u), rel=1e-12)
 
 
 class TestPolytope:

@@ -197,6 +197,19 @@ class TestSplitKernel:
             many = nl.exact_unconditional_norm_many(inst, x[None, :])[0]
             assert nl.exact_unconditional_norm(inst, x) == many
 
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_value_does_not_depend_on_batch(self, rng, n):
+        # a lone point (P = 1, the last chunk at P = 2049 for n <= 9 and at
+        # P = 3 for n = 15) rounds as it does in a batch; from n = 16 on
+        # every tile holds one point in any batch
+        for space in KERNEL_SPACES:
+            inst = nl.NormInstance(family=random_family(space, n, rng))
+            for P in (1, 2, 3, 2049) if n <= 9 else (1, 2, 3):
+                X = rng.standard_normal((P, n))
+                many = nl.exact_unconditional_norm_many(inst, X)
+                alone = [nl.exact_unconditional_norm_many(inst, x[None, :])[0] for x in X]
+                assert np.array_equal(many, alone)
+
     def test_value_blocks_are_the_representative_values(self, rng):
         for space in KERNEL_SPACES:
             fam = random_family(space, 11, rng)
