@@ -177,6 +177,9 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     net_file = doc.get("probes", {}).get("net_file")
     if net_file and not Path(net_file).exists():
         raise ConfigError(f"net_file does not exist: {net_file}", field="probes/net_file", path=path)
+    if exp in ("distortion", "xi-sweep") and doc.get("probes", {}).get("samples") == 0 and not net_file:
+        msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
+        raise ConfigError(msg, field="probes/samples", path=path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
     n = doc["n"] if exp in _FAMILY_FREE else resolve_family(cfg).n
     for fld in ("xi", "xi_list"):
@@ -184,6 +187,9 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             if round((1.0 + float(xi)) * n) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
+    if exp == "concentration" and len(doc["x"]) != n:
+        msg = f"config field 'x' has length {len(doc['x'])}, expected n = {n}"
+        raise ConfigError(msg, field="x", path=path)
     return cfg
 
 

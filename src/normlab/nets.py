@@ -164,28 +164,31 @@ def build_net(
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     n = inst.n
     rng = np.random.default_rng(np.uint64(derive_seed(seed, 0)))
-    pts: list[np.ndarray] = []
+    net = np.empty((64, n))  # the net is net[:size]; doubles when full
+    size = 0
     rejects = 0
     spent = 0
 
     def effective_budget() -> int:
-        return budget if budget is not None else _BUDGET_PER_POINT * max(1, len(pts))
+        return budget if budget is not None else _BUDGET_PER_POINT * max(1, size)
 
     def offer_batch(cands: np.ndarray) -> None:
         # the pre-batch net in one pass; accepts within the batch are
         # checked one by one, so the sequential greedy order (and hence
         # the result) is unchanged
-        nonlocal rejects, spent
-        far = _far_from(inst, cands, np.reshape(pts, (-1, n)), theta, max_n).tolist()
-        fresh: list[np.ndarray] = []
+        nonlocal net, size, rejects, spent
+        start = size
+        far = _far_from(inst, cands, net[:start], theta, max_n).tolist()
         stop = effective_budget()
         for c, ok in zip(cands, far):
             spent += 1
-            if ok and fresh:
-                ok = bool(_far_from(inst, c[None, :], np.array(fresh), theta, max_n)[0])
+            if ok and size > start:
+                ok = bool(_far_from(inst, c[None, :], net[start:size], theta, max_n)[0])
             if ok:
-                pts.append(c)
-                fresh.append(c)
+                if size == net.shape[0]:
+                    net = np.concatenate([net, np.empty_like(net)])
+                net[size] = c
+                size += 1
                 rejects = 0
                 stop = effective_budget()
             else:
@@ -205,13 +208,13 @@ def build_net(
         gnorms = exact_unconditional_norm_many(inst, grid, max_n=max_n)
         gpts = grid / gnorms[:, None]
         for _ in range(gpts.shape[0]):
-            misses = np.flatnonzero(_far_from(inst, gpts, np.array(pts), theta + 1e-12, max_n))
+            misses = np.flatnonzero(_far_from(inst, gpts, net[:size], theta + 1e-12, max_n))
             if misses.size == 0:
                 status = COVERING_CERTIFIED
                 break
             rejects = 0
             offer_batch(gpts[misses])
-    points = np.array(pts)
+    points = net[:size].copy()
     points.setflags(write=False)
     return NetPoints(
         theta=float(theta),

@@ -12,16 +12,16 @@ meet-in-the-middle (Horowitz & Sahni 1974).  A low table walks a = min(n-1, 8)
 signs in Gray order together with the pinned one; a high table walks the
 other b = n-1-a signs.  For each functional row r_k of the norm
 (coordinates for lp, functionals for polytope) the low and high sums
-L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small GEMMs, and
-pattern (j, i) has signed sum H_k[j] + L_k[i].  That outer sum is itself a
+L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small products,
+made for a block of points in one stacked matmul, and pattern (j, i) has signed sum H_k[j] + L_k[i].  That outer sum is itself a
 GEMM with inner dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It
 is written into buffers that belong to one kernel call, so concurrent
 calls share nothing.  A tile holds whole points by all their patterns,
 about 2^15 signed sums per functional row and 2^20 over all rows (a point
 with more patterns than that spans several tiles); the rows are combined
 in place, numpy's pairwise sum reduces each point's values contiguously,
-and the tiles of one point are combined with exact compensated summation
-(math.fsum).  For n <= 9 the high half is empty and the low table is the
+the tiles of one point are combined with exact compensated summation
+(math.fsum), and a call divides all its sums at once.  For n <= 9 the high half is empty and the low table is the
 whole half enumeration.
 """
 
@@ -188,18 +188,21 @@ def _value_tiles(
     Yields (ps, tile): tile (m, patterns) holds the values of the points
     ps..ps+m at a run of their patterns.  The tiles of one chunk of points
     come one after another and cover each pattern exactly once; a tile is
-    overwritten by the next one.  A small product that a batch would make
-    with several points takes at least two rows (``_two_rows``), so a
-    point's values do not depend on its batch.
+    overwritten by the next one.  A small product that a tile makes with
+    several points takes at least two rows (``_two_rows``), and with at most
+    one point per tile each point is its own one-row stack item, so a point's
+    values do not depend on its batch.
 
     With an empty high half (n <= 9) a chunk is 2048 points and its one tile
     is the combined ``_low_sums``; a one-point chunk is computed twice over,
     so its tile has a second row that repeats the first.  Otherwise each of
     the K row blocks of a tile holds about t = min(_TILE, _BUFFER // K)
-    signed sums:
-    c = max(1, min(P, t // 2^(n-1))) whole points by all their patterns, or
-    one point by a power of two of whole high rows, so a point with more than
-    t patterns spans several tiles.  Pattern (j, i) of row k has signed sum
+    signed sums: min(P, t // 2^(n-1)) whole points by all their patterns, or
+    one point by all its patterns or a power of two of whole high rows, so a
+    point with more than t patterns spans several tiles.  H_k and L_k are
+    made for a block of c points at once: the points of one tile, or with at
+    most one point per tile about t / (8 (2^a + 2^b)) points, so that their
+    buffers hold a quarter of a tile.  Pattern (j, i) of row k has signed sum
     [H_k[j], 1] @ [1; L_k[i]], exactly H_k[j] + L_k[i]: one k=2 GEMM per row
     and point writes the outer sum into buffers of this call.  They hold at
     most about max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
@@ -218,21 +221,24 @@ def _value_tiles(
     hi, lo = high.shape[0], low.shape[0]
     tile = min(_TILE, _BUFFER // K)  # signed sums per row block
     fit = tile // (hi * lo)  # whole points per tile
-    c = max(1, min(X.shape[0], fit))
+    per = max(1, min(X.shape[0], fit))  # points per tile
+    # points per block of small products, their buffers a quarter of a tile
+    c = per if fit > 1 else max(1, min(X.shape[0], tile // (8 * (hi + lo))))
     rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
     HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
     LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
-    T = np.empty((K, c, rows, lo))
+    T = np.empty((K, per, rows, lo))
     for ps in range(0, X.shape[0], c):
-        Y = X[None, ps : ps + c] * R[:, None, :]  # Y[k] = X * r_k
-        m = Y.shape[1]
-        # with at most one point per tile every point is multiplied alone
-        Y2 = _two_rows(Y, 1) if fit > 1 else Y
-        HA[:, :m, :, 0] = (Y2[..., :b] @ high.T)[:, :m]
-        LA[:, :m, 1] = (Y2[..., b:] @ low.T)[:, :m]
-        for j in range(0, hi, rows):
-            sums = np.matmul(HA[:, :m, j : j + rows], LA[:, :m], out=T[:, :m])
-            yield ps, _combine_blocks(sums, mode, p).reshape(m, -1)
+        Xc = X[ps : ps + c]
+        m = Xc.shape[0]
+        Y = (_two_rows(Xc, 0)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
+        HA[:, :m, :, 0] = (Y[..., :b] @ high.T).reshape(K, -1, hi)[:, :m]
+        LA[:, :m, 1] = (Y[..., b:] @ low.T).reshape(K, -1, lo)[:, :m]
+        for i in range(0, m, per):
+            e = min(m, i + per)
+            for j in range(0, hi, rows):
+                sums = np.matmul(HA[:, i:e, j : j + rows], LA[:, i:e], out=T[:, : e - i])
+                yield ps + i, _combine_blocks(sums, mode, p).reshape(e - i, -1)
 
 
 def iter_exact_value_blocks(
@@ -271,17 +277,14 @@ def exact_unconditional_norm_many(
     _enum_guard(n, max_n)
     X = _check_points(n, X)
     R, mode, p = _functional_rows(inst.family)
-    sums: dict[int, list[np.ndarray]] = {}  # per chunk, its points' sum in each tile
-    for ps, tile in _value_tiles(R, mode, p, X):
-        # summed before a padded copy of a lone point is dropped, as in a batch
-        sums.setdefault(ps, []).append(tile.sum(axis=1)[: X.shape[0] - ps])
-    out = np.empty(X.shape[0])
-    for ps, parts in sums.items():
-        if len(parts) > 1:
-            # exact compensated reduction across the tiles of each point
-            parts = [np.array([math.fsum(s) for s in zip(*(q.tolist() for q in parts))])]
-        out[ps : ps + len(parts[0])] = parts[0] / half_enumeration_size(n)
-    return out
+    P = X.shape[0]
+    # each tile's sums in turn, a padded copy of a lone point summed as in a batch
+    parts = [tile.sum(axis=1)[: P - ps] for ps, tile in _value_tiles(R, mode, p, X)]
+    sums = np.concatenate([np.zeros(0), *parts])
+    if sums.size > P:
+        # a point's tiles come one after another: exact fsum across them
+        sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
+    return sums / half_enumeration_size(n)
 
 
 def _empirical_many(R: np.ndarray, mode: str, p: float | None, E: np.ndarray, X: np.ndarray) -> np.ndarray:

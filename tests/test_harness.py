@@ -249,6 +249,9 @@ class TestCli:
             ("exact-norm", {"space": {"kind": "lp", "p": 0.5, "dim": 3}}, "space/p"),
             ("exact-norm", {"space": {"kind": "lp", "p": 2}}, "space/dim"),
             ("exact-norm", {"space": {"kind": "polytope", "functionals": [[1, 0, 0]]}}, "space/functionals"),
+            ("distortion", {"xi": 0.5, "trials": 1, "probes": {"samples": 0}}, "probes/samples"),
+            ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"samples": 0}}, "probes/samples"),
+            ("concentration", {"x": [1.0, 2.0]}, "x"),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -261,7 +264,8 @@ class TestCli:
             doc["family_file"] = family_file
         cfg = write_json(tmp_path / "c.json", doc)
         assert cli_main([experiment, "--config", cfg]) == 2
-        assert f"(field: {field})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "Traceback" not in err
 
     def test_seed_override_changes_results(self, tmp_path, family_file):
         doc = {

@@ -118,6 +118,25 @@ class TestSplitKernel:
         assert peak < 32 << 20  # bytes
         np.testing.assert_allclose(got, direct_exact_norms(fam, X), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n, K", [(16, 4), (17, 4), (13, 600)])
+    def test_blocks_of_lone_point_tiles(self, rng, n, K):
+        # at most one point per tile (n = 17 and the wide polytope split a
+        # point over several tiles): a block of points shares its small
+        # products, yet each value is bit-equal to the point's own call
+        space = nl.lp_space("inf", K) if K == 4 else nl.polytope_space(rng.standard_normal((K, 3)))
+        inst = nl.NormInstance(family=random_family(space, n, rng))
+        lo = 1 << symmetrize._LOW_BITS
+        hi = half_enumeration_size(n) // lo
+        tile = min(symmetrize._TILE, symmetrize._BUFFER // K)
+        assert tile < 2 * hi * lo
+        block = max(1, tile // (8 * (hi + lo)))
+        for P in sorted({1, block, 2 * block + 1}):
+            X = rng.standard_normal((P, n))
+            got = nl.exact_unconditional_norm_many(inst, X)
+            alone = [nl.exact_unconditional_norm_many(inst, x[None, :])[0] for x in X]
+            assert got.tobytes() == np.array(alone).tobytes()
+            assert got[::-1].tobytes() == nl.exact_unconditional_norm_many(inst, X[::-1]).tobytes()
+
     @pytest.mark.parametrize("n", [10, 13, 16])
     def test_many_is_accurate(self, rng, n):
         # against each signed sum rounded once (fsum over its terms) and an
