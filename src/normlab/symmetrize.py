@@ -8,21 +8,22 @@ for everything downstream.
 
 Enumeration kernel: one representative per antipodal pair (values repeat
 under eps -> -eps, so the last sign is pinned to +1), split
-meet-in-the-middle (Horowitz & Sahni 1974).  A low table walks a = min(n-1, 8)
-signs in Gray order together with the pinned one; a high table walks the
-other b = n-1-a signs.  For each functional row r_k of the norm
-(coordinates for lp, functionals for polytope) the low and high sums
+meet-in-the-middle (Horowitz & Sahni 1974).  A low table walks
+a = min(n-1, 8) signs in Gray order together with the pinned one; a high
+table walks the other b = n-1-a signs.  For each functional row r_k of the
+norm (coordinates for lp, functionals for polytope) the low and high sums
 L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small products,
-made for a block of points in one stacked matmul, and pattern (j, i) has signed sum H_k[j] + L_k[i].  That outer sum is itself a
-GEMM with inner dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It
-is written into buffers that belong to one kernel call, so concurrent
-calls share nothing.  A tile holds whole points by all their patterns,
-about 2^15 signed sums per functional row and 2^20 over all rows (a point
-with more patterns than that spans several tiles); the rows are combined
-in place, numpy's pairwise sum reduces each point's values contiguously,
-the tiles of one point are combined with exact compensated summation
-(math.fsum), and a call divides all its sums at once.  For n <= 9 the high half is empty and the low table is the
-whole half enumeration.
+made for a block of points in one stacked matmul, and pattern (j, i) has
+signed sum H_k[j] + L_k[i].  That outer sum is itself a GEMM with inner
+dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It is written into
+buffers that belong to one kernel call, so concurrent calls share nothing.
+A tile holds whole points by all their patterns, about 2^15 signed sums
+per functional row and 2^20 over all rows (a point with more patterns
+than that spans several tiles); the rows are combined in place, numpy's
+pairwise sum reduces each point's values contiguously, the tiles of one
+point are combined with exact compensated summation (math.fsum), and a
+call divides all its sums at once.  For n <= 9 the high half is empty and
+the low table is the whole half enumeration.
 """
 
 from __future__ import annotations
