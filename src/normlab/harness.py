@@ -105,6 +105,8 @@ _REQUIRED_BY_EXPERIMENT = {
     "net-build": ["theta"],
 }
 _FAMILY_FREE = {"scalar-sweep"}
+# experiments that map their trials over a pool of ``threads`` workers
+_POOLED = {"distortion", "xi-sweep", "scalar-sweep"}
 
 
 def load_config(path, *, experiment: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -152,6 +154,12 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     exp = exp or experiment
     doc = {**doc, "experiment": exp}
 
+    if doc.get("threads", 1) > 1 and exp not in _POOLED:
+        msg = (
+            f"config field 'threads' = {doc['threads']}: experiment '{exp}' runs no trials "
+            f"in a pool; only {', '.join(sorted(_POOLED))} accept threads > 1"
+        )
+        raise ConfigError(msg, field="threads", path=path)
     for fld in _REQUIRED_BY_EXPERIMENT[exp]:
         if fld not in doc:
             raise ConfigError(

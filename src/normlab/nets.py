@@ -7,12 +7,24 @@ every current net point exceeds theta.  Separation is therefore certified
 by construction, and any theta-separated subset of the unit sphere obeys
 the packing bound (3/theta)^n for theta <= 1.
 
-Each decision asks whether some net point lies within theta.  A candidate
-is first tested against its few nearest net points in the Euclidean
-metric, where a hit is usually found, and only a candidate with no hit
-there gets its full exact distance row.  The Euclidean order is never
-used as a bound, and an exact distance has the same bits in any batch,
-so every decision, and hence the net, is that of the full distance row.
+Candidates come in batches.  After an accept a batch holds
+``_CANDIDATE_BATCH`` candidates; through a run of rejects it doubles,
+up to ``_MAX_BATCH``, and a larger batch ends at the stop rule at most.
+The Gaussian stream and each point's exact norm do not depend on the batch,
+so neither do the candidates.
+
+Each decision asks whether some net point lies within theta.  A batch
+meets the net as it was before the batch in one pass: a candidate is
+first tested against its few nearest net points in the Euclidean metric,
+where a hit is usually found, and only a candidate with no hit there gets
+its full exact distance row.  The batch is then walked from accept to
+accept: each accepted candidate meets the later candidates still far from
+the net in one kernel call, and the rejects between accepts are counted
+as a run.  The Euclidean order is never used as a bound, and an exact
+distance has the same bits in any batch, so every decision, and hence
+the net, is that of the sequential greedy rule with full distance rows.
+The kernel calls of a batch hold about ``_CALL_POINTS`` points each (a
+full distance row at least), which bounds their memory.
 
 Covering of the whole sphere is heuristic in general; for n <= 3 a dense
 deterministic grid pass upgrades the status to "certified-small-n" when
@@ -41,11 +53,15 @@ COVERING_HEURISTIC = "heuristic"
 
 # greedy stop rule: this many consecutive rejected candidates per net point
 _BUDGET_PER_POINT = 50
+# candidates per batch: the smallest batch, and the cap on a batch that
+# grows through a run of rejects
 _CANDIDATE_BATCH = 64
+_MAX_BATCH = 1024
 # nearest-first check: net points per candidate tried before its full
-# distance row, and candidates per block of that row
+# distance row
 _NEAREST = 2
-_ROW_CHUNK = 256
+# points per exact-norm call, which bounds the memory of a call
+_CALL_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -88,20 +104,30 @@ def _far_from(
     m, n = base.shape
     k = min(_NEAREST, m)
     sq = np.square(base).sum(axis=1)
-    for s in range(0, X.shape[0] if m else 0, _ROW_CHUNK):
-        B = X[s : s + _ROW_CHUNK]
-        # squared Euclidean distances less |x|^2, which the order ignores
-        near = np.argpartition(sq - 2.0 * (B @ base.T), k - 1, axis=1)[:, :k]
+    step = _CALL_POINTS // _NEAREST  # rows per chunk, their nearest check one call
+    rows = max(1, _CALL_POINTS // max(1, m))  # full distance rows per call
+    for s in range(0, X.shape[0] if m else 0, step):
+        B = X[s : s + step]
+        # squared Euclidean distances less |x|^2, which the order ignores;
+        # each argmin takes the nearest base point not yet taken
+        G = B @ base.T
+        G *= -2.0
+        G += sq
+        near = np.empty((B.shape[0], k), dtype=np.intp)
+        for j in range(k):
+            near[:, j] = G.argmin(axis=1)
+            G[np.arange(B.shape[0]), near[:, j]] = np.inf
         d = exact_unconditional_norm_many(
             inst, (B[:, None] - base[near]).reshape(-1, n), max_n=max_n
         )
         ok = (d.reshape(-1, k) > threshold).all(axis=1)
         rest = np.flatnonzero(ok)
-        if rest.size and k < m:
+        for r in range(0, rest.size if k < m else 0, rows):
+            idx = rest[r : r + rows]
             D = exact_unconditional_norm_many(
-                inst, (B[rest, None] - base).reshape(-1, n), max_n=max_n
+                inst, (B[idx, None] - base).reshape(-1, n), max_n=max_n
             )
-            ok[rest] = (D.reshape(rest.size, m) > threshold).all(axis=1)
+            ok[idx] = (D.reshape(idx.size, m) > threshold).all(axis=1)
         far[s : s + ok.size] = ok
     return far
 
@@ -110,10 +136,18 @@ def _distances_to(inst: NormInstance, x: np.ndarray, pts: np.ndarray, max_n: int
     return exact_unconditional_norm_many(inst, x[None, :] - pts, max_n=max_n)
 
 
+def _norms(inst: NormInstance, X: np.ndarray, max_n: int) -> np.ndarray:
+    """Exact norms of the rows of X, ``_CALL_POINTS`` rows per call."""
+    parts = [
+        exact_unconditional_norm_many(inst, X[s : s + _CALL_POINTS], max_n=max_n)
+        for s in range(0, X.shape[0], _CALL_POINTS)
+    ]
+    return np.concatenate([np.zeros(0), *parts])
+
+
 def _sphere_batch(inst: NormInstance, count: int, rng, max_n: int) -> np.ndarray:
     g = rng.standard_normal((count, inst.n))
-    norms = exact_unconditional_norm_many(inst, g, max_n=max_n)
-    return g / norms[:, None]
+    return g / _norms(inst, g, max_n)[:, None]
 
 
 def _coordinate_seeds(inst: NormInstance, max_n: int) -> np.ndarray:
@@ -172,33 +206,46 @@ def build_net(
     def effective_budget() -> int:
         return budget if budget is not None else _BUDGET_PER_POINT * max(1, size)
 
+    def reject_run(count: int, stop: int) -> bool:
+        # ``count`` rejects in a row; True once they reach the stop rule,
+        # counting the candidates up to the one that reaches it
+        nonlocal rejects, spent
+        taken = min(count, max(1, stop - rejects))
+        spent += taken
+        rejects += taken
+        return taken > 0 and rejects >= stop
+
     def offer_batch(cands: np.ndarray) -> None:
-        # the pre-batch net in one pass; accepts within the batch are
-        # checked one by one, so the sequential greedy order (and hence
-        # the result) is unchanged
+        # the pre-batch net in one pass, then each accept meets the later
+        # candidates still far in one kernel call; the decisions are those
+        # of the sequential greedy order
         nonlocal net, size, rejects, spent
-        start = size
-        far = _far_from(inst, cands, net[:start], theta, max_n).tolist()
+        todo = np.flatnonzero(_far_from(inst, cands, net[:size], theta, max_n))
         stop = effective_budget()
-        for c, ok in zip(cands, far):
+        pos = 0  # the first candidate not yet decided
+        while todo.size:
+            j = int(todo[0])
+            if reject_run(j - pos, stop):
+                return
+            if size == net.shape[0]:
+                net = np.concatenate([net, np.empty_like(net)])
+            net[size] = c = cands[j]
+            size += 1
             spent += 1
-            if ok and size > start:
-                ok = bool(_far_from(inst, c[None, :], net[start:size], theta, max_n)[0])
-            if ok:
-                if size == net.shape[0]:
-                    net = np.concatenate([net, np.empty_like(net)])
-                net[size] = c
-                size += 1
-                rejects = 0
-                stop = effective_budget()
-            else:
-                rejects += 1
-                if rejects >= stop:
-                    return
+            rejects = 0
+            stop = effective_budget()
+            pos = j + 1
+            todo = todo[1:]
+            if todo.size:
+                todo = todo[_norms(inst, cands[todo] - c, max_n) > theta]
+        reject_run(cands.shape[0] - pos, stop)
 
     offer_batch(_coordinate_seeds(inst, max_n))
-    while rejects < effective_budget():
-        offer_batch(_sphere_batch(inst, _CANDIDATE_BATCH, rng, max_n))
+    while (left := effective_budget() - rejects) > 0:
+        # the smallest batch after an accept; through a run of rejects the
+        # batch doubles, and a larger batch ends at the stop rule at most
+        count = min(_MAX_BATCH, max(_CANDIDATE_BATCH, min(rejects, left)))
+        offer_batch(_sphere_batch(inst, count, rng, max_n))
 
     status = COVERING_HEURISTIC
     if grid_certify and n <= 3:

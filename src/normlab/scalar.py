@@ -82,17 +82,21 @@ def _descend(E: np.ndarray, y0: np.ndarray, f0, steps: int, sign):
     F = np.array(f0, dtype=np.float64, ndmin=1)
     sign = np.broadcast_to(np.asarray(sign, dtype=np.float64), F.shape)
     step = np.full(F.shape, DESCENT_STEP0)
+    Z = Y @ E  # the stack's column products, kept with Y
     for _ in range(steps):
         active = step >= DESCENT_STEP_MIN
         if not active.any():
             break
-        C = Y - (sign * step)[:, None] * (np.sign(Y @ E) @ E.T / N)
-        nrm = np.linalg.norm(C, axis=1)
+        C = Y - (sign * step)[:, None] * (np.sign(Z) @ E.T / N)
+        # the arithmetic of np.linalg.norm(C, axis=1) and of .mean(axis=1)
+        nrm = np.sqrt(np.add.reduce(C * C, axis=1))
         live = active & (nrm > 0.0)
         np.divide(C, nrm[:, None], out=C, where=live[:, None])
-        FC = np.abs(C @ E).mean(axis=1)
+        ZC = C @ E
+        FC = np.add.reduce(np.abs(ZC), axis=1) / N
         better = live & (sign * (FC - F) < 0.0)
         np.copyto(Y, C, where=better[:, None])
+        np.copyto(Z, ZC, where=better[:, None])
         np.copyto(F, FC, where=better)
         step[active & ~better] *= 0.5
     if np.ndim(y0) == 1:

@@ -252,6 +252,10 @@ class TestCli:
             ("distortion", {"xi": 0.5, "trials": 1, "probes": {"samples": 0}}, "probes/samples"),
             ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"samples": 0}}, "probes/samples"),
             ("concentration", {"x": [1.0, 2.0]}, "x"),
+            ("net-build", {"theta": 0.5, "threads": 4}, "threads"),
+            ("concentration", {"x": [1.0] * 6, "threads": 2}, "threads"),
+            ("exact-norm", {"threads": 2}, "threads"),
+            ("empirical-norm", {"xi": 0.5, "threads": 3}, "threads"),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -302,6 +306,14 @@ class TestCli:
         assert cfg.threads == 2
         run_experiment(cfg)
         assert (tmp_path / "env_out" / "trials.csv").exists()
+
+    def test_threads_env_fallback_is_not_rejected_without_a_pool(self, tmp_path, family_file, monkeypatch):
+        monkeypatch.setenv("NORMLAB_THREADS", "2")
+        doc = {"family_file": family_file, "theta": 1.0, "master_seed": 5, "output": {"dir": str(tmp_path)}}
+        assert validate_config(doc, experiment="net-build").threads == 2
+        with pytest.raises(ConfigError, match="threads"):
+            validate_config({**doc, "threads": 2}, experiment="net-build")
+        assert validate_config({**doc, "threads": 1}, experiment="net-build").threads == 1
 
 
 class TestCaps:

@@ -202,6 +202,24 @@ NAIVE_SPACES = {
 }
 
 
+class TestBatchSchedule:
+    @pytest.mark.parametrize(
+        "space, n",
+        [(nl.lp_space("inf", 4), 4), (NAIVE_SPACES["poly"], 4), (NAIVE_SPACES["poly"], 5)],
+        ids=["linf4", "poly-n4", "poly-n5"],
+    )
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_net_does_not_depend_on_the_batches(self, monkeypatch, rng, space, n, budget):
+        inst = nl.NormInstance(family=random_family(space, n, rng))
+        default = nl.build_net(inst, 0.6, budget=budget, seed=n)
+        monkeypatch.setattr(nets, "_CANDIDATE_BATCH", 1)
+        monkeypatch.setattr(nets, "_MAX_BATCH", 4096)
+        net = nl.build_net(inst, 0.6, budget=budget, seed=n)
+        assert np.array_equal(net.points, default.points)
+        assert net.candidate_budget == default.candidate_budget
+        assert net.covering_status == default.covering_status
+
+
 class TestAgainstNaiveGreedy:
     @pytest.mark.parametrize(
         "n,thetas",
@@ -211,7 +229,7 @@ class TestAgainstNaiveGreedy:
     def test_same_net(self, rng, space, n, thetas):
         inst = nl.NormInstance(family=random_family(space, n, rng))
         for theta in thetas:
-            for budget in (None, 30):
+            for budget in (None, 30, 1, 2):
                 net = nl.build_net(inst, theta, budget=budget, seed=n)
                 pts, spent, status = naive_greedy(inst, theta, budget, seed=n)
                 assert np.array_equal(net.points, pts)
