@@ -27,14 +27,12 @@ from .distortion import (
     DistortionReport,
     FailureStats,
     ProbeSpec,
-    SphereSplit,
     UVStats,
     XiSummary,
     failure_probability,
     run_trial,
     run_trials,
     sphere_sample,
-    split_UV,
     xi_sweep,
 )
 from .errors import (

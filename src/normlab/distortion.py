@@ -53,16 +53,6 @@ class ProbeSpec:
 
 
 @dataclass(frozen=True)
-class SphereSplit:
-    """Classification of a unit vector by the weak-variance threshold."""
-
-    sigma0: float
-    sigma_value: float
-    cls: str  # "U" if sigma >= sigma0 else "V"
-    tentative: bool = False
-
-
-@dataclass(frozen=True)
 class UVStats:
     sigma0: float
     count_U: int
@@ -106,15 +96,6 @@ def sphere_sample(
     g = rng.standard_normal((count, inst.n))
     norms = exact_unconditional_norm_many(inst, g, max_n=max_n)
     return g / norms[:, None]
-
-
-def split_UV(family: VectorFamily, x, sigma0: float) -> SphereSplit:
-    """U/V classification: boundary sigma(x) = sigma0 goes to U."""
-    sr = sigma(family, x)
-    cls = "U" if sr.value >= sigma0 else "V"
-    return SphereSplit(
-        sigma0=float(sigma0), sigma_value=sr.value, cls=cls, tentative=sr.lower_bound_only
-    )
 
 
 def _sigma_values(family: VectorFamily, X: np.ndarray, vertex_cap: int) -> tuple[np.ndarray, bool]:

@@ -2,6 +2,8 @@
 
 Configs are JSON documents validated against the shipped schema plus
 cross-field rules (xi vs N agreement, per-experiment required fields).
+The schema is checked by a small interpreter of the Draft 2020-12
+keywords it uses (see ``_compile``), so no schema library is imported.
 Reports are JSON; plottable tables are CSV with a header row.  Everything
 is deterministic given the master seed: per-trial seeds are derived by
 index, aggregation is sorted, and the thread count never changes results.
@@ -13,6 +15,8 @@ import csv
 import importlib.resources
 import json
 import math
+import numbers
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +26,6 @@ from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -53,14 +56,174 @@ EXPERIMENTS = (
 DEFAULT_CAPS = {"max_enum_n": 22, "max_dual_vertices_m": 20}
 
 
+# --- the config schema --------------------------------------------------------
+#
+# ``_compile`` turns a schema into a check ``check(value, path, errors,
+# ints)`` with the semantics of Draft 2020-12 for the keywords below; a
+# keyword it does not implement is an error when the schema is loaded, so
+# no part of the schema is ignored.  A check appends each violation to
+# ``errors`` as ``(path, reason)``, and to ``ints`` the path of each
+# integral float where an integer is asked.
+
+_SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+_KEYWORDS = {
+    "type", "enum", "const", "anyOf", "minimum", "maximum", "exclusiveMinimum",
+    "items", "minItems", "properties", "required", "additionalProperties",
+}
+_ANNOTATIONS = {"$schema", "title"}
+_BOUNDS = {  # keyword: (violated, reason)
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+}
+
+
+def _is_number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float, numbers.Number))
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    ),
+}
+
+
+def _field(path) -> str:
+    return "/".join(str(p) for p in path) or "<root>"
+
+
+def _string_value(allowed, key: str, at: tuple):
+    """The check of ``enum: allowed`` or ``const: allowed[0]``."""
+    if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
+        # JSON equality of numbers and bools is not Python's
+        raise ValueError(f"config schema at '{_field(at)}': only string {key} values are implemented")
+
+    def value(v, path, errors, ints):
+        if not (isinstance(v, str) and v in allowed):
+            reason = f"{v!r} is not one of {allowed!r}" if key == "enum" else f"{allowed[0]!r} was expected"
+            errors.append((path, reason))
+
+    return value
+
+
+def _compile(schema, at: tuple = ()):
+    """The check of ``schema`` (see above); ``at`` locates it in messages."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"config schema at '{_field(at)}' is not an object")
+    unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"config schema at '{_field(at)}': keyword {unknown[0]!r} is not implemented")
+    if schema.get("$schema", _SCHEMA_DIALECT) != _SCHEMA_DIALECT:
+        raise ValueError(f"config schema: dialect {schema['$schema']!r} is not {_SCHEMA_DIALECT!r}")
+    checks = []
+
+    for key in ("enum", "const"):
+        if key in schema:
+            checks.append(_string_value(schema[key] if key == "enum" else [schema[key]], key, at))
+
+    if "anyOf" in schema:
+        branches = [_compile(s, at + ("anyOf", i)) for i, s in enumerate(schema["anyOf"])]
+
+        def any_of(v, path, errors, ints):
+            for branch in branches:
+                errs, nums = [], []
+                branch(v, path, errs, nums)
+                if not errs:
+                    ints.extend(nums)
+                    return
+            errors.append((path, f"{v!r} is not valid under any of the given schemas"))
+
+        checks.append(any_of)
+
+    bounds = [(*_BOUNDS[k], schema[k]) for k in _BOUNDS if k in schema]
+    if bounds:
+        if not all(_is_number(b) for *_, b in bounds):
+            raise ValueError(f"config schema at '{_field(at)}': a bound is not a number")
+
+        def bounded(v, path, errors, ints):
+            # a comparison with NaN is false, so NaN passes every bound
+            if _is_number(v):
+                errors.extend((path, f"{v!r} is {text} of {b!r}") for fails, text, b in bounds if fails(v, b))
+
+        checks.append(bounded)
+
+    if "items" in schema or "minItems" in schema:
+        item = _compile(schema["items"], at + ("items",)) if "items" in schema else None
+        least = schema.get("minItems", 0)
+
+        def array(v, path, errors, ints):
+            if not isinstance(v, list):
+                return
+            if len(v) < least:
+                errors.append((path, f"{v!r} " + ("should be non-empty" if least == 1 else "is too short")))
+            if item is not None:
+                for i, x in enumerate(v):
+                    item(x, path + (i,), errors, ints)
+
+        checks.append(array)
+
+    if schema.keys() & {"properties", "required", "additionalProperties"}:
+        props = {k: _compile(s, at + ("properties", k)) for k, s in schema.get("properties", {}).items()}
+        required = schema.get("required", [])
+        closed = schema.get("additionalProperties", True)
+        if not isinstance(closed, bool):
+            raise ValueError(f"config schema at '{_field(at)}': additionalProperties must be true or false")
+
+        def members(v, path, errors, ints):
+            if not isinstance(v, dict):
+                return
+            errors.extend((path, f"{k!r} is a required property") for k in required if k not in v)
+            extras = sorted((k for k in v if k not in props), key=str) if not closed else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                listed = ", ".join(repr(k) for k in extras)
+                errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+            for k, x in v.items():
+                if k in props:
+                    props[k](x, path + (k,), errors, ints)
+
+        checks.append(members)
+
+    kind = schema.get("type")
+    if kind is None:
+        is_type = None
+    elif isinstance(kind, str) and kind in _TYPES:
+        is_type = _TYPES[kind]
+    else:
+        raise ValueError(f"config schema at '{_field(at)}': type {kind!r} is not implemented")
+
+    def check(v, path, errors, ints):
+        if is_type is not None and not is_type(v):
+            errors.append((path, f"{v!r} is not of type {kind!r}"))
+            return
+        if kind == "integer" and isinstance(v, float):
+            ints.append(path)
+        for c in checks:
+            c(v, path, errors, ints)
+
+    return check
+
+
+def _int_at(doc, path):
+    """``doc`` with the number at ``path`` an int, copying the containers on the path."""
+    if not path:
+        return int(doc)
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    out[path[0]] = _int_at(doc[path[0]], path[1:])
+    return out
+
+
 @cache
-def _validator():
-    """Validator of the shipped schema; the schema is read and checked once."""
+def _schema_check():
+    """The check of the shipped schema; the file is read and compiled once."""
     ref = importlib.resources.files("normlab") / "schemas" / "config.schema.json"
-    schema = json.loads(ref.read_text(encoding="utf-8"))
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _compile(json.loads(ref.read_text(encoding="utf-8")))
 
 
 @dataclass
@@ -124,19 +287,27 @@ def load_config(path, *, experiment: str | None = None, overrides: dict | None =
         raise ConfigError(f"config file not found: {path}", path=path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path=path) from exc
-    if overrides:
+    if overrides and isinstance(doc, dict):  # any other doc fails the schema
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
     return validate_config(doc, path=path, experiment=experiment)
 
 
 def validate_config(doc: dict, *, path: str | None = None, experiment: str | None = None) -> ExperimentConfig:
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if exc is not None:
-        fld = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(
-            f"config field '{fld}' is invalid: {exc.message}", field=fld, path=path
-        ) from exc
+    """A checked config: the schema first, then the cross-field rules.
+
+    Of the schema's violations the shallowest is reported, and among
+    equally shallow ones the first met by a walk of the config in its
+    document order.  An integral float where the schema asks for an
+    integer is taken as that integer.
+    """
+    errors, ints = [], []
+    _schema_check()(doc, (), errors, ints)
+    if errors:
+        at, reason = min(errors, key=lambda e: len(e[0]))
+        fld = _field(at)
+        raise ConfigError(f"config field '{fld}' is invalid: {reason}", field=fld, path=path)
+    for at in ints:
+        doc = _int_at(doc, at)
 
     exp = doc.get("experiment")
     if exp is None and experiment is None:
@@ -188,10 +359,16 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     if exp in ("distortion", "xi-sweep") and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
+    if exp == "net-build" and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
+        msg = f"config field 'theta' is invalid: {doc['theta']!r} is not finite"
+        raise ConfigError(msg, field="theta", path=path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
     n = doc["n"] if exp in _FAMILY_FREE else resolve_family(cfg).n
     for fld in ("xi", "xi_list"):
         for xi in np.ravel(doc.get(fld, [])):
+            if not math.isfinite(xi):  # NaN passes the schema's bounds
+                msg = f"config field '{fld}' is invalid: {float(xi)!r} is not finite"
+                raise ConfigError(msg, field=fld, path=path)
             if round((1.0 + float(xi)) * n) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
@@ -219,7 +396,7 @@ def resolve_family(cfg: ExperimentConfig) -> VectorFamily:
     if "vectors" in doc:
         try:
             return make_family(space, doc["vectors"])
-        except NormLabError as exc:
+        except (NormLabError, ValueError) as exc:  # ValueError: rows of unequal length
             raise ConfigError(f"invalid family vectors: {exc}", field="vectors", path=cfg.path)
     spec = doc["random_vectors"]
     rng = np.random.default_rng(np.uint64(derive_seed(spec.get("seed", cfg.master_seed), 0)))
@@ -577,15 +754,18 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         )
     amp = None
     if "N_list" in cfg.raw and "t" in cfg.raw:
-        amp = conc.amplification_check(
-            family,
-            x,
-            cfg.raw["N_list"],
-            cfg.raw["t"],
-            cfg.raw.get("trials", 2000),
-            cfg.master_seed,
-            max_n=max_n,
-        )
+        try:
+            amp = conc.amplification_check(
+                family,
+                x,
+                cfg.raw["N_list"],
+                cfg.raw["t"],
+                cfg.raw.get("trials", 2000),
+                cfg.master_seed,
+                max_n=max_n,
+            )
+        except ValueError as exc:  # t at or below the expectation
+            raise ConfigError(f"config field 't' is invalid: {exc}", field="t", path=cfg.path) from exc
         outputs["amplification_csv"] = Table(
             "amplification.csv", ["N", "frequency"], [[r.N, r.frequency] for r in amp.rows]
         )

@@ -250,17 +250,21 @@ def build_net(
     status = COVERING_HEURISTIC
     if grid_certify and n <= 3:
         # grid misses are themselves theta-separated from the net, so they
-        # extend the candidate stream; iterate until the grid is covered
+        # extend the candidate stream; iterate until the grid is covered.
+        # A covered grid point stays covered, so each pass checks only the
+        # last pass's misses, against the net points that pass added
         grid = _grid_directions(n)
         gnorms = exact_unconditional_norm_many(inst, grid, max_n=max_n)
-        gpts = grid / gnorms[:, None]
-        for _ in range(gpts.shape[0]):
-            misses = np.flatnonzero(_far_from(inst, gpts, net[:size], theta + 1e-12, max_n))
-            if misses.size == 0:
+        misses = grid / gnorms[:, None]
+        seen = 0  # net[:seen] is already checked against every miss
+        for _ in range(misses.shape[0]):
+            misses = misses[_far_from(inst, misses, net[seen:size], theta + 1e-12, max_n)]
+            if misses.shape[0] == 0:
                 status = COVERING_CERTIFIED
                 break
             rejects = 0
-            offer_batch(gpts[misses])
+            seen = size
+            offer_batch(misses)
     points = net[:size].copy()
     points.setflags(write=False)
     return NetPoints(

@@ -83,15 +83,20 @@ def _descend(E: np.ndarray, y0: np.ndarray, f0, steps: int, sign):
     sign = np.broadcast_to(np.asarray(sign, dtype=np.float64), F.shape)
     step = np.full(F.shape, DESCENT_STEP0)
     Z = Y @ E  # the stack's column products, kept with Y
+    # sign(Z) @ E.T sums +-1 products exactly, so any layout gives its bits
+    ET = np.ascontiguousarray(E.T)
     for _ in range(steps):
         active = step >= DESCENT_STEP_MIN
         if not active.any():
             break
-        C = Y - (sign * step)[:, None] * (np.sign(Z) @ E.T / N)
+        C = Y - (sign * step)[:, None] * (np.sign(Z) @ ET / N)
         # the arithmetic of np.linalg.norm(C, axis=1) and of .mean(axis=1)
         nrm = np.sqrt(np.add.reduce(C * C, axis=1))
         live = active & (nrm > 0.0)
-        np.divide(C, nrm[:, None], out=C, where=live[:, None])
+        # a row that is not live may divide to nan here; it never reaches
+        # Y, Z or F, since every copy below is masked by better <= live
+        with np.errstate(divide="ignore", invalid="ignore"):
+            C /= nrm[:, None]
         ZC = C @ E
         FC = np.add.reduce(np.abs(ZC), axis=1) / N
         better = live & (sign * (FC - F) < 0.0)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
 import normlab as nl
+from normlab import harness
 from normlab.cli import main as cli_main
 from normlab.errors import ConfigError
 from normlab.harness import load_config, resolve_N, run_experiment, validate_config
@@ -21,6 +25,16 @@ def family_file(tmp_path, rng):
     path = tmp_path / "family.json"
     nl.save_family(fam, path)
     return str(path)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The last line ``code`` prints when run by a new interpreter that imports this normlab."""
+    src = str(Path(nl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def base_config(tmp_path, family_file, **extra):
@@ -56,17 +70,74 @@ class TestConfigValidation:
             validate_config(doc, experiment="distortion")
         assert exc.value.field == "trials"
 
-    def test_schema_is_checked_once(self, tmp_path, family_file, monkeypatch):
-        calls = []
-        cls = jsonschema.Draft202012Validator
-        check = cls.check_schema
-        monkeypatch.setattr(
-            cls, "check_schema", lambda schema, **kw: calls.append(1) or check(schema, **kw)
+    def test_schema_is_read_once(self, tmp_path, family_file):
+        code = (
+            "import json, sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open'"
+            " and str(args[0]).endswith('config.schema.json') and opened.append(args[0]))\n"
+            "from normlab.harness import validate_config\n"
+            "for _ in range(3):\n"
+            "    validate_config(json.loads(sys.argv[1]), experiment='distortion')\n"
+            "print(len(opened))\n"
         )
         doc = base_config(tmp_path, family_file, trials=2, xi=0.5)
-        for _ in range(3):
+        assert fresh_python(code, json.dumps(doc)) == "1"
+
+    def test_config_loading_does_not_import_jsonschema(self, tmp_path, family_file):
+        good = base_config(tmp_path, family_file, trials=1, xi=0.5, probes={"samples": 4, "descent_steps": 1})
+        bad = base_config(tmp_path, family_file, trials=0, xi=0.5)
+        paths = [write_json(tmp_path / f"{tag}.json", doc) for tag, doc in (("good", good), ("bad", bad))]
+        code = (
+            "import sys\n"
+            "import normlab\n"
+            "before = 'jsonschema' in sys.modules\n"
+            "from normlab.cli import main\n"
+            "codes = [main(['distortion', '--config', p]) for p in sys.argv[1:]]\n"
+            "print(before, 'jsonschema' in sys.modules, codes)\n"
+        )
+        assert fresh_python(code, *paths) == "False False [0, 2]"
+
+    @pytest.mark.parametrize(
+        "schema, keyword",
+        [
+            ({"type": "object", "patternProperties": {"^x": {}}}, "patternProperties"),
+            ({"properties": {"a": {"type": "string", "format": "email"}}}, "format"),
+            ({"items": {"anyOf": [{"type": "number"}, {"multipleOf": 2}]}}, "multipleOf"),
+            ({"type": "null"}, "null"),
+            ({"type": ["string", "null"]}, "type"),
+            ({"enum": ["a", 1]}, "enum"),
+            ({"enum": ["a"], "const": True}, "const"),
+            ({"additionalProperties": {"type": "string"}}, "additionalProperties"),
+        ],
+    )
+    def test_schema_with_an_unimplemented_keyword_is_rejected(self, schema, keyword):
+        with pytest.raises(ValueError, match=keyword):
+            harness._compile(schema)
+
+    @pytest.mark.parametrize(
+        "extra, field, message",
+        [
+            ({"trials": 2.5}, "trials", "is not of type 'integer'"),
+            ({"trials": True}, "trials", "is not of type 'integer'"),
+            ({"xi": float("nan")}, "xi", "nan is not finite"),
+            ({"xi": -1}, "xi", "-1 is less than or equal to the minimum of -1"),
+            ({"probes": {"samples": 3, "bogus": 1, "restarts": 0}}, "probes", "'bogus' was unexpected"),
+            ({"probes": {"samples": "3"}, "space": {"kind": "lp", "p": "x"}}, "probes/samples", "not of type"),
+            ({"space": {"kind": "lp", "p": "x"}, "random_vectors": {"n": 3}}, "space/p", "any of the given"),
+        ],
+    )
+    def test_schema_reports_the_shallowest_violation(self, tmp_path, family_file, extra, field, message):
+        doc = base_config(tmp_path, family_file, **{"trials": 2, "xi": 0.5, **extra})
+        with pytest.raises(ConfigError, match=message) as exc:
             validate_config(doc, experiment="distortion")
-        assert len(calls) <= 1
+        assert exc.value.field == field
+
+    def test_integral_float_is_read_as_an_integer(self, tmp_path, family_file):
+        doc = base_config(tmp_path, family_file, trials=2.0, xi=0.5, probes={"samples": 3.0})
+        cfg = validate_config(doc, experiment="distortion")
+        assert type(cfg.raw["trials"]) is int and type(cfg.raw["probes"]["samples"]) is int
+        assert type(doc["trials"]) is float and type(doc["probes"]["samples"]) is float
 
     def test_experiment_mismatch(self, tmp_path, family_file):
         doc = base_config(tmp_path, family_file, experiment="xi-sweep", trials=2, xi=0.5)
@@ -256,6 +327,11 @@ class TestCli:
             ("concentration", {"x": [1.0] * 6, "threads": 2}, "threads"),
             ("exact-norm", {"threads": 2}, "threads"),
             ("empirical-norm", {"xi": 0.5, "threads": 3}, "threads"),
+            ("distortion", {"xi": float("inf"), "trials": 1}, "xi"),
+            ("xi-sweep", {"xi_list": [0.5, float("nan")], "trials": 1}, "xi_list"),
+            ("net-build", {"theta": float("nan")}, "theta"),
+            ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0], [1]]}, "vectors"),
+            ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": 0.5}, "t"),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -270,6 +346,28 @@ class TestCli:
         assert cli_main([experiment, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"(field: {field})" in err and "Traceback" not in err
+
+    def test_infinite_p_is_l_inf(self, tmp_path):
+        results = []
+        for tag, p in (("tag", "inf"), ("pos", float("inf")), ("neg", float("-inf"))):
+            out = tmp_path / tag
+            doc = {
+                "master_seed": 1,
+                "output": {"dir": str(out)},
+                "space": {"kind": "lp", "p": p, "dim": 2},
+                "vectors": [[1.0, 0.5], [-0.25, 1.0], [0.5, 2.0]],
+                "count": 2,
+            }
+            cfg = write_json(tmp_path / f"{tag}.json", doc)
+            assert cli_main(["exact-norm", "--config", cfg]) == 0
+            results.append(json.loads((out / "report.json").read_text())["results"])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_config_that_is_not_an_object_with_a_seed_override(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", [1, 2])
+        assert cli_main(["distortion", "--config", cfg, "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "(field: <root>)" in err and "Traceback" not in err
 
     def test_seed_override_changes_results(self, tmp_path, family_file):
         doc = {
