@@ -67,10 +67,8 @@ from .seeding import derive_seed
 from .signs import (
     SeedRecord,
     SignMatrix,
-    dump_sign_matrix,
     enumerate_signs,
     enumeration_matrix,
-    load_sign_matrix,
     sample_sign_matrix,
 )
 from .spaces import (

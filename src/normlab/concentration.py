@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import NormLabError
 from .seeding import derive_seed
-from .signs import half_enumeration_size, sample_sign_matrix
+from .signs import ENUMERATION_CAP, half_enumeration_size, sample_sign_matrix
 from .spaces import VectorFamily
 from .symmetrize import (
-    DEFAULT_MAX_ENUM_N,
     EmpiricalNormInstance,
     NormInstance,
     empirical_norm,
@@ -56,7 +55,7 @@ class ExactDistribution:
 
 
 def exact_distribution(
-    family: VectorFamily, x, max_n: int = DEFAULT_MAX_ENUM_N
+    family: VectorFamily, x, max_n: int = ENUMERATION_CAP
 ) -> ExactDistribution:
     """Enumerate the 2^n values, merge equal atoms, compute E/Med/Var/sigma.
 
@@ -164,7 +163,7 @@ def amplification_check(
     t: float,
     trials: int,
     seed: int,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
 ) -> AmplificationResult:
     """Monte Carlo frequency of {(1/N) sum_j X_j >= t} per N, plus the slope.
 

@@ -18,11 +18,10 @@ import numpy as np
 
 from .nets import NetPoints, certified_sup_bound
 from .seeding import derive_seed, trial_seeds_for_xi
-from .signs import sample_sign_matrix
+from .signs import ENUMERATION_CAP, sample_sign_matrix
 from .spaces import VectorFamily, norming_functional
 from .stats import loglog_slope, quartiles
 from .symmetrize import (
-    DEFAULT_MAX_ENUM_N,
     EmpiricalNormInstance,
     NormInstance,
     batch_empirical_norm,
@@ -85,7 +84,7 @@ class DistortionReport:
 
 
 def sphere_sample(
-    inst: NormInstance, count: int, seed: int, max_n: int = DEFAULT_MAX_ENUM_N
+    inst: NormInstance, count: int, seed: int, max_n: int = ENUMERATION_CAP
 ) -> np.ndarray:
     """Gaussian directions normalized to unit exact norm; rows are points."""
     if count < 0:
@@ -172,7 +171,7 @@ def run_trial(
     N: int | None = None,
     signs=None,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
     vertex_cap: int = VERTEX_ENUM_CAP,
 ) -> DistortionReport:
     """One distortion trial; deterministic given (instance, seed, probes).
@@ -275,7 +274,7 @@ def run_trials(
     probes: ProbeSpec | None = None,
     *,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
     vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> list[DistortionReport]:
@@ -303,7 +302,7 @@ def failure_probability(
     *,
     reports: list[DistortionReport] | None = None,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
 ) -> FailureStats:
     """Frequency of trials escaping the band [c_target, C_target].
 
@@ -379,7 +378,7 @@ def xi_sweep(
     probes: ProbeSpec | None = None,
     *,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
     vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> ConstantsProfile:

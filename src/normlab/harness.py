@@ -34,7 +34,7 @@ from . import distortion as dist
 from . import nets, scalar
 from .errors import ConfigError, NormLabError
 from .seeding import derive_seed
-from .signs import enumeration_matrix, sample_sign_matrix
+from .signs import ENUMERATION_CAP, enumeration_matrix, sample_sign_matrix
 from .spaces import VectorFamily, load_family, make_family, space_from_json
 from .symmetrize import (
     EmpiricalNormInstance,
@@ -53,7 +53,7 @@ EXPERIMENTS = (
     "net-build",
 )
 
-DEFAULT_CAPS = {"max_enum_n": 22, "max_dual_vertices_m": 20}
+DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": 20}
 
 
 # --- the config schema --------------------------------------------------------

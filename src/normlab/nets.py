@@ -14,17 +14,19 @@ The Gaussian stream and each point's exact norm do not depend on the batch,
 so neither do the candidates.
 
 Each decision asks whether some net point lies within theta.  A batch
-meets the net as it was before the batch in one pass: a candidate is
-first tested against its few nearest net points in the Euclidean metric,
-where a hit is usually found, and only a candidate with no hit there gets
-its full exact distance row.  The batch is then walked from accept to
-accept: each accepted candidate meets the later candidates still far from
-the net in one kernel call, and the rejects between accepts are counted
-as a run.  The Euclidean order is never used as a bound, and an exact
-distance has the same bits in any batch, so every decision, and hence
-the net, is that of the sequential greedy rule with full distance rows.
-The kernel calls of a batch hold about ``_CALL_POINTS`` points each (a
-full distance row at least), which bounds their memory.
+meets the net as it was before the batch in one pass: its candidates
+meet their nearest net points in the Euclidean metric one at a time, the
+j-th nearest only where the nearer ones found no hit (the first one
+usually does), and only a candidate with no hit among its few nearest
+gets its full exact distance row.  The batch is then walked from accept
+to accept: each accepted candidate meets the later candidates still far
+from the net in one kernel call, and the rejects between accepts are
+counted as a run.  The Euclidean order is never used as a bound, and an
+exact distance has the same bits in any batch, so every decision, and
+hence the net, is that of the sequential greedy rule with full distance
+rows.  A kernel call is sized by signed sums, not points: about
+``_CALL_SUMS`` of them, 2^(n-1) per point, with at least ``_CALL_FLOOR``
+points (a full distance row at least), which bounds its memory.
 
 Covering of the whole sphere is heuristic in general; for n <= 3 a dense
 deterministic grid pass upgrades the status to "certified-small-n" when
@@ -40,8 +42,8 @@ import numpy as np
 
 from .errors import CoveringViolationError
 from .seeding import derive_seed
+from .signs import ENUMERATION_CAP
 from .symmetrize import (
-    DEFAULT_MAX_ENUM_N,
     EmpiricalNormInstance,
     NormInstance,
     batch_empirical_norm,
@@ -57,11 +59,15 @@ _BUDGET_PER_POINT = 50
 # grows through a run of rejects
 _CANDIDATE_BATCH = 64
 _MAX_BATCH = 1024
-# nearest-first check: net points per candidate tried before its full
-# distance row
+# nearest-first check: net points per candidate tried, one at a time,
+# before its full distance row
 _NEAREST = 2
-# points per exact-norm call, which bounds the memory of a call
-_CALL_POINTS = 256
+# signed sums per exact-norm call (2^(n-1) per point), at least
+# _CALL_FLOOR points a call; Euclidean distances per nearest-check chunk.
+# Both bound the memory of a call
+_CALL_SUMS = 1 << 14
+_CALL_FLOOR = 256
+_GRAM = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,36 +100,41 @@ def _far_from(
 ) -> np.ndarray:
     """Per row of X: is every point of ``base`` farther than ``threshold``?
 
-    Distances are exact norms.  Each row first meets its ``_NEAREST`` base
-    points nearest in the Euclidean metric, in one kernel call; a hit at or
-    below ``threshold`` settles the row.  Only the rows left get their full
-    distance row.  The Euclidean order only decides which distances are
-    computed first; the answer is the one of the full distance row.
+    Distances are exact norms.  The rows meet their base points nearest in
+    the Euclidean metric one at a time, up to ``_NEAREST`` of them: the j-th
+    nearest is measured, in one kernel call, only for the rows that no
+    nearer one settled, and a hit at or below ``threshold`` settles a row.
+    Only the rows left get their full distance row.  The Euclidean order
+    only decides which distances are computed first; the answer is the one
+    of the full distance row.
     """
     far = np.ones(X.shape[0], dtype=bool)
     m, n = base.shape
-    k = min(_NEAREST, m)
+    call = _call_points(n)
+    step = max(1, min(call, _GRAM // max(1, m)))  # rows per nearest-check chunk
+    rows = max(1, call // max(1, m))  # full distance rows per call
     sq = np.square(base).sum(axis=1)
-    step = _CALL_POINTS // _NEAREST  # rows per chunk, their nearest check one call
-    rows = max(1, _CALL_POINTS // max(1, m))  # full distance rows per call
+    W = -2.0 * base.T
     for s in range(0, X.shape[0] if m else 0, step):
         B = X[s : s + step]
-        # squared Euclidean distances less |x|^2, which the order ignores;
-        # each argmin takes the nearest base point not yet taken
-        G = B @ base.T
-        G *= -2.0
+        # squared Euclidean distances less |x|^2, which the order ignores,
+        # of the rows not yet settled; each argmin takes the nearest base
+        # point not yet tried
+        G = B @ W
         G += sq
-        near = np.empty((B.shape[0], k), dtype=np.intp)
-        for j in range(k):
-            near[:, j] = G.argmin(axis=1)
-            G[np.arange(B.shape[0]), near[:, j]] = np.inf
-        d = exact_unconditional_norm_many(
-            inst, (B[:, None] - base[near]).reshape(-1, n), max_n=max_n
-        )
-        ok = (d.reshape(-1, k) > threshold).all(axis=1)
-        rest = np.flatnonzero(ok)
-        for r in range(0, rest.size if k < m else 0, rows):
-            idx = rest[r : r + rows]
+        left = np.arange(B.shape[0])
+        for _ in range(min(_NEAREST, m)):
+            if not left.size:
+                break
+            near = G.argmin(axis=1)
+            d = exact_unconditional_norm_many(inst, B[left] - base[near], max_n=max_n)
+            miss = d > threshold
+            left, G = left[miss], G[miss]
+            G[np.arange(left.size), near[miss]] = np.inf
+        ok = np.zeros(B.shape[0], dtype=bool)
+        ok[left] = True
+        for r in range(0, left.size if _NEAREST < m else 0, rows):
+            idx = left[r : r + rows]
             D = exact_unconditional_norm_many(
                 inst, (B[idx, None] - base).reshape(-1, n), max_n=max_n
             )
@@ -132,15 +143,22 @@ def _far_from(
     return far
 
 
+def _call_points(n: int) -> int:
+    """Points per exact-norm call: ``_CALL_SUMS`` signed sums, at least
+    ``_CALL_FLOOR`` points."""
+    return max(_CALL_FLOOR, _CALL_SUMS >> (n - 1))
+
+
 def _distances_to(inst: NormInstance, x: np.ndarray, pts: np.ndarray, max_n: int) -> np.ndarray:
     return exact_unconditional_norm_many(inst, x[None, :] - pts, max_n=max_n)
 
 
 def _norms(inst: NormInstance, X: np.ndarray, max_n: int) -> np.ndarray:
-    """Exact norms of the rows of X, ``_CALL_POINTS`` rows per call."""
+    """Exact norms of the rows of X, ``_call_points`` rows per call."""
+    call = _call_points(inst.n)
     parts = [
-        exact_unconditional_norm_many(inst, X[s : s + _CALL_POINTS], max_n=max_n)
-        for s in range(0, X.shape[0], _CALL_POINTS)
+        exact_unconditional_norm_many(inst, X[s : s + call], max_n=max_n)
+        for s in range(0, X.shape[0], call)
     ]
     return np.concatenate([np.zeros(0), *parts])
 
@@ -186,7 +204,7 @@ def build_net(
     budget: int | None = None,
     seed: int = 0,
     *,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
     grid_certify: bool = True,
 ) -> NetPoints:
     """Greedy maximal theta-separated set on the unit sphere.
@@ -282,7 +300,7 @@ def net_decompose(
     x,
     K: int,
     *,
-    max_n: int = DEFAULT_MAX_ENUM_N,
+    max_n: int = ENUMERATION_CAP,
     unit_tol: float = 1e-7,
 ) -> NetDecomposition:
     """Peel x into sum_k a_k x^(k) over a 1/2-net, |a_k| <= 2^(1-k).

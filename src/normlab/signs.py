@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
 
-# hard cap for full 2^n enumeration requests
-ENUMERATION_CAP = 24
+# default cap on n for exact 2^n enumeration: sign tables, the exact-norm
+# kernel and the ``max_enum_n`` of configs
+ENUMERATION_CAP = 22
 
 # default cap on n*N entries of a sampled matrix (~8 MiB packed)
 SAMPLE_ENTRY_CAP = 1 << 26
@@ -175,26 +176,3 @@ def half_gray_sign_block(n: int, start: int, count: int, _nocache: bool = False)
     block[:, n - 1] = 1.0
     return block
 
-
-# --- debug/interchange dump format -------------------------------------------
-
-def dump_sign_matrix(sm: SignMatrix, fh) -> None:
-    """Write "n N" then N whitespace-separated lines, one per column."""
-    fh.write(f"{sm.n} {sm.N}\n")
-    dense = sm.dense()
-    for j in range(sm.N):
-        fh.write(" ".join(f"{int(e):+d}" for e in dense[:, j]) + "\n")
-
-
-def load_sign_matrix(fh) -> SignMatrix:
-    header = fh.readline().split()
-    if len(header) != 2:
-        raise ValueError("expected header line 'n N'")
-    n, N = int(header[0]), int(header[1])
-    cols = []
-    for j in range(N):
-        row = fh.readline().split()
-        if len(row) != n:
-            raise ValueError(f"column {j} has {len(row)} entries, expected {n}")
-        cols.append([int(tok) for tok in row])
-    return SignMatrix.from_dense(np.array(cols, dtype=np.int8).T)

@@ -36,19 +36,22 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NonFiniteInputError
-from .signs import SignMatrix, gray_sign_block, half_enumeration_size, half_gray_sign_block
+from .signs import (
+    ENUMERATION_CAP,
+    SignMatrix,
+    gray_sign_block,
+    half_enumeration_size,
+    half_gray_sign_block,
+)
 from .spaces import NormSpec, VectorFamily, validate_family
 
-# default cap on n for exact 2^n enumeration (configurable per call)
-DEFAULT_MAX_ENUM_N = 22
-
 # split enumeration: sign bits of the low half, signed sums per row block
-# of a combine tile and in all K row blocks, points per chunk with an empty
-# high half
+# of a combine tile and in all K row blocks; points per block of a large
+# product
 _LOW_BITS = 8
 _TILE = 1 << 15
 _BUFFER = 1 << 20
-_PROBE_CHUNK = 2048
+_GEMM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -165,14 +168,20 @@ def _high_table(b: int) -> np.ndarray:
     return table
 
 
-def _two_rows(Y: np.ndarray, axis: int) -> np.ndarray:
-    """Y with a lone row along ``axis`` repeated once.
+def _gemm_rows(Y: np.ndarray) -> np.ndarray:
+    """Y padded with copies of its last row: a lone row to two rows, and
+    more than ``_GEMM_BLOCK`` rows to whole blocks of ``_GEMM_BLOCK``.
 
-    numpy multiplies by a one-row or one-column operand on its matrix-vector
-    BLAS path, which rounds differently from the matrix-matrix path of larger
-    batches; padding keeps every point's value independent of its batch.
+    numpy multiplies by a one-row operand on its matrix-vector BLAS path,
+    which rounds differently from the matrix-matrix path of larger batches.
+    And once a product is large, OpenBLAS rounds the rows of a partial block
+    of its kernel differently from those of whole blocks (seen at n = 5..9
+    from 193 points on with OpenBLAS 0.3.31 on Haswell kernels).  Padding
+    keeps every point's value independent of its batch.
     """
-    return Y if Y.shape[axis] > 1 else np.concatenate([Y, Y], axis=axis)
+    m = Y.shape[0]
+    pad = 1 if m == 1 else -m % _GEMM_BLOCK if m > _GEMM_BLOCK else 0
+    return np.concatenate([Y, np.repeat(Y[-1:], pad, axis=0)]) if pad else Y
 
 
 def _low_sums(R: np.ndarray, X: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -189,24 +198,26 @@ def _value_tiles(
     Yields (ps, tile): tile (m, patterns) holds the values of the points
     ps..ps+m at a run of their patterns.  The tiles of one chunk of points
     come one after another and cover each pattern exactly once; a tile is
-    overwritten by the next one.  A small product that a tile makes with
-    several points takes at least two rows (``_two_rows``), and with at most
-    one point per tile each point is its own one-row stack item, so a point's
-    values do not depend on its batch.
+    overwritten by the next one.  A product that a tile makes with several
+    points is padded (``_gemm_rows``), and with at most one point per tile
+    each point is its own one-row stack item, so a point's values do not
+    depend on its batch.
 
-    With an empty high half (n <= 9) a chunk is 2048 points and its one tile
-    is the combined ``_low_sums``; a one-point chunk is computed twice over,
-    so its tile has a second row that repeats the first.  Otherwise each of
-    the K row blocks of a tile holds about t = min(_TILE, _BUFFER // K)
-    signed sums: min(P, t // 2^(n-1)) whole points by all their patterns, or
-    one point by all its patterns or a power of two of whole high rows, so a
-    point with more than t patterns spans several tiles.  H_k and L_k are
-    made for a block of c points at once: the points of one tile, or with at
-    most one point per tile about t / (8 (2^a + 2^b)) points, so that their
-    buffers hold a quarter of a tile.  Pattern (j, i) of row k has signed sum
-    [H_k[j], 1] @ [1; L_k[i]], exactly H_k[j] + L_k[i]: one k=2 GEMM per row
-    and point writes the outer sum into buffers of this call.  They hold at
-    most about max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
+    With an empty high half (n <= 9) a chunk holds _BUFFER // (K 2^(n-1))
+    points, whole blocks of ``_GEMM_BLOCK`` past that many and at least two
+    (a lone point is padded to two anyway), and its one tile is the combined
+    ``_low_sums`` of the padded chunk, so a last chunk may have more rows
+    than points.  Otherwise each of the K row blocks of a tile holds about
+    t = min(_TILE, _BUFFER // K) signed sums: min(P, t // 2^(n-1)) whole
+    points by all their patterns, or one point by all its patterns or a
+    power of two of whole high rows, so a point with more than t patterns
+    spans several tiles.  H_k and L_k are made for a block of c points at
+    once: the points of one tile, or with at most one point per tile about
+    t / (8 (2^a + 2^b)) points, so that their buffers hold a quarter of a
+    tile.  Pattern (j, i) of row k has signed sum [H_k[j], 1] @ [1; L_k[i]],
+    exactly H_k[j] + L_k[i]: one k=2 GEMM per row and point writes the outer
+    sum into buffers of this call.  They hold at most about
+    max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
     """
     n = X.shape[1]
     a = min(n - 1, _LOW_BITS)
@@ -214,8 +225,10 @@ def _value_tiles(
     low, high = half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
     K, b = R.shape[0], high.shape[1]
     if not b:
-        for ps in range(0, X.shape[0], _PROBE_CHUNK):
-            Xc = _two_rows(X[ps : ps + _PROBE_CHUNK], 0)
+        chunk = max(2, _BUFFER // (K * low.shape[0]))
+        chunk -= chunk % _GEMM_BLOCK if chunk > _GEMM_BLOCK else 0
+        for ps in range(0, X.shape[0], chunk):
+            Xc = _gemm_rows(X[ps : ps + chunk])
             vals = _combine_blocks(_low_sums(R, Xc, low), mode, p)
             yield ps, vals.T
         return
@@ -232,7 +245,7 @@ def _value_tiles(
     for ps in range(0, X.shape[0], c):
         Xc = X[ps : ps + c]
         m = Xc.shape[0]
-        Y = (_two_rows(Xc, 0)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
+        Y = (_gemm_rows(Xc)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
         HA[:, :m, :, 0] = (Y[..., :b] @ high.T).reshape(K, -1, hi)[:, :m]
         LA[:, :m, 1] = (Y[..., b:] @ low.T).reshape(K, -1, lo)[:, :m]
         for i in range(0, m, per):
@@ -243,7 +256,7 @@ def _value_tiles(
 
 
 def iter_exact_value_blocks(
-    family: VectorFamily, x, max_n: int = DEFAULT_MAX_ENUM_N
+    family: VectorFamily, x, max_n: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
     """Blocks of ||sum eps_i x_i v_i|| over the antipodal representatives.
 
@@ -257,7 +270,7 @@ def iter_exact_value_blocks(
 
 
 def exact_unconditional_norm(
-    inst: NormInstance, x, max_n: int = DEFAULT_MAX_ENUM_N
+    inst: NormInstance, x, max_n: int = ENUMERATION_CAP
 ) -> float:
     """Average of ||sum eps_i x_i v_i|| over all 2^n sign patterns, exactly.
 
@@ -267,7 +280,7 @@ def exact_unconditional_norm(
 
 
 def exact_unconditional_norm_many(
-    inst: NormInstance, X, max_n: int = DEFAULT_MAX_ENUM_N
+    inst: NormInstance, X, max_n: int = ENUMERATION_CAP
 ) -> np.ndarray:
     """Vectorized exact norm over the rows of X (shape (P, n)).
 

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .signs import half_enumeration_size, half_gray_sign_block
+from .signs import ENUMERATION_CAP, half_enumeration_size, half_gray_sign_block
 from .spaces import NormSpec, VectorFamily, lp_space, norming_functional
-from .symmetrize import (
-    DEFAULT_MAX_ENUM_N,
-    NormInstance,
-    exact_unconditional_norm,
-)
+from .symmetrize import NormInstance, exact_unconditional_norm
 
 # optimal constant in the L1 Khinchin inequality (Szarek)
 KHINCHIN_CONSTANT = math.sqrt(2.0)
@@ -222,7 +218,7 @@ class KhinchinBounds:
     upper: float
 
 
-def khinchin_bounds(y, max_n: int = DEFAULT_MAX_ENUM_N) -> KhinchinBounds:
+def khinchin_bounds(y, max_n: int = ENUMERATION_CAP) -> KhinchinBounds:
     """Exact Rademacher average of a scalar form with its classical sandwich.
 
     The average E|sum eps_i y_i| is the exact unconditional norm at y of n
@@ -246,7 +242,7 @@ class VarianceRatio:
 
 
 def variance_norm_ratio(
-    inst: NormInstance, x, max_n: int = DEFAULT_MAX_ENUM_N, **sigma_kwargs
+    inst: NormInstance, x, max_n: int = ENUMERATION_CAP, **sigma_kwargs
 ) -> VarianceRatio:
     """Both sides of the weak-variance bound sigma(x) <= sqrt(2) |||x|||.
 

@@ -205,19 +205,32 @@ NAIVE_SPACES = {
 class TestBatchSchedule:
     @pytest.mark.parametrize(
         "space, n",
-        [(nl.lp_space("inf", 4), 4), (NAIVE_SPACES["poly"], 4), (NAIVE_SPACES["poly"], 5)],
-        ids=["linf4", "poly-n4", "poly-n5"],
+        [
+            (nl.lp_space("inf", 4), 3),
+            (nl.lp_space("inf", 4), 4),
+            (NAIVE_SPACES["poly"], 4),
+            (NAIVE_SPACES["poly"], 5),
+        ],
+        ids=["linf4-n3", "linf4", "poly-n4", "poly-n5"],
     )
     @pytest.mark.parametrize("budget", [None, 40])
     def test_net_does_not_depend_on_the_batches(self, monkeypatch, rng, space, n, budget):
         inst = nl.NormInstance(family=random_family(space, n, rng))
         default = nl.build_net(inst, 0.6, budget=budget, seed=n)
-        monkeypatch.setattr(nets, "_CANDIDATE_BATCH", 1)
-        monkeypatch.setattr(nets, "_MAX_BATCH", 4096)
-        net = nl.build_net(inst, 0.6, budget=budget, seed=n)
-        assert np.array_equal(net.points, default.points)
-        assert net.candidate_budget == default.candidate_budget
-        assert net.covering_status == default.covering_status
+        with monkeypatch.context() as m:
+            m.setattr(nets, "_CANDIDATE_BATCH", 1)
+            m.setattr(nets, "_MAX_BATCH", 4096)
+            batches = nl.build_net(inst, 0.6, budget=budget, seed=n)
+        # the smallest calls: one point or one full distance row each, and
+        # one candidate per nearest-check chunk (n = 3 runs the grid pass)
+        monkeypatch.setattr(nets, "_CALL_SUMS", 1)
+        monkeypatch.setattr(nets, "_CALL_FLOOR", 1)
+        monkeypatch.setattr(nets, "_GRAM", 1)
+        calls = nl.build_net(inst, 0.6, budget=budget, seed=n)
+        for net in (batches, calls):
+            assert np.array_equal(net.points, default.points)
+            assert net.candidate_budget == default.candidate_budget
+            assert net.covering_status == default.covering_status
 
 
 class TestAgainstNaiveGreedy:
@@ -249,8 +262,20 @@ class TestAgainstNaiveGreedy:
         d = nl.exact_unconditional_norm_many(inst, diffs.reshape(-1, n)).reshape(len(X), -1)
         euclid = np.square(diffs).sum(axis=2)
         assert (d.argmin(axis=1) != euclid.argmin(axis=1)).mean() > 0.2
-        far = nets._far_from(inst, X, pts, theta, nets.DEFAULT_MAX_ENUM_N)
+        far = nets._far_from(inst, X, pts, theta, nets.ENUMERATION_CAP)
         assert np.array_equal(far, (d > theta).all(axis=1))
         net = nl.build_net(inst, theta, budget=budget, seed=n)
+        assert np.array_equal(net.points, pts)
+        assert (net.candidate_budget, net.covering_status) == (spent, status)
+
+    def test_same_net_with_calls_past_a_partial_product_block(self):
+        # a net of 250 points at n = 5: its distance calls hold hundreds of
+        # points, past the size where a partial block of the kernel's
+        # product used to round differently, and one distance landed on the
+        # other side of theta
+        V = np.random.default_rng(15).standard_normal((5, 3))
+        inst = nl.NormInstance(family=nl.make_family(nl.lp_space("inf", 3), V))
+        pts, spent, status = naive_greedy(inst, 0.5, None, seed=15)
+        net = nl.build_net(inst, 0.5, seed=15)
         assert np.array_equal(net.points, pts)
         assert (net.candidate_budget, net.covering_status) == (spent, status)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -107,15 +106,6 @@ def test_pack_round_trip(n, N):
     sm = nl.SignMatrix.from_dense(dense)
     assert np.array_equal(sm.dense(), dense.astype(np.float64))
     assert sm.xi == pytest.approx(N / n - 1)
-
-
-def test_dump_load_round_trip():
-    sm = nl.sample_sign_matrix(4, 6, seed=9)
-    buf = io.StringIO()
-    nl.dump_sign_matrix(sm, buf)
-    buf.seek(0)
-    back = nl.load_sign_matrix(buf)
-    assert back == sm
 
 
 def test_from_dense_rejects_non_signs():

@@ -70,13 +70,14 @@ class TestSplitKernel:
             np.testing.assert_allclose(got, direct_exact_norms(inst.family, X), rtol=1e-12, atol=0)
 
     def test_chunks_and_tiles(self, rng):
-        # n = 9: one tile per chunk of points, two chunks; n = 13 and 16:
-        # tiles of whole points, several chunks; n = 17: a point spans
-        # several tiles, reduced by fsum
+        # n = 9: one tile per chunk of points, two chunks of the one-row
+        # family below (more of the three-row one); n = 13 and 16: tiles of
+        # whole points, several chunks; n = 17: a point spans several
+        # tiles, reduced by fsum
         for n in (9, 13, 16, 17):
             total = half_enumeration_size(n)
             c = max(1, symmetrize._TILE // total)
-            P = symmetrize._PROBE_CHUNK + 5 if n == 9 else 2 * c + 1
+            P = symmetrize._BUFFER // total + 5 if n == 9 else 2 * c + 1
             inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 3), n, rng))
             X = rng.standard_normal((P, n))
             got = nl.exact_unconditional_norm_many(inst, X)
@@ -101,13 +102,16 @@ class TestSplitKernel:
                 vals = np.sort(np.concatenate(parts))
                 assert np.array_equal(vals, s * np.arange(1.0, 2.0**n, 2.0))
 
-    def test_wide_polytope_keeps_buffers_small(self, rng):
-        # K = 600 functional rows: each row block of a tile shrinks to
-        # _BUFFER // K signed sums (four tiles per point at n = 13), so the
-        # call allocates a few _BUFFER doubles, not K * _TILE (150 MiB here)
-        fam = random_family(nl.polytope_space(rng.standard_normal((600, 3))), 13, rng)
+    @pytest.mark.parametrize("n, P", [(13, 8), (9, 64)])
+    def test_wide_polytope_keeps_buffers_small(self, rng, n, P):
+        # K = 600 functional rows: at n = 13 each row block of a tile
+        # shrinks to _BUFFER // K signed sums (four tiles per point), and at
+        # n = 9 a chunk holds _BUFFER // (K 2^8) points (six), so the call
+        # allocates a few _BUFFER doubles, not K * _TILE (150 MiB) or all
+        # P points by K 2^8 sums at once (75 MiB)
+        fam = random_family(nl.polytope_space(rng.standard_normal((600, 3))), n, rng)
         inst = nl.NormInstance(family=fam)
-        X = rng.standard_normal((8, 13))
+        X = rng.standard_normal((P, n))
         nl.exact_unconditional_norm_many(inst, X[:1])  # warm the sign tables
         tracemalloc.start()
         try:
@@ -219,11 +223,12 @@ class TestSplitKernel:
     @pytest.mark.parametrize("n", range(1, 18))
     def test_value_does_not_depend_on_batch(self, rng, n):
         # a lone point (P = 1, the last chunk at P = 2049 for n <= 9 and at
-        # P = 3 for n = 15) rounds as it does in a batch; from n = 16 on
-        # every tile holds one point in any batch
+        # P = 3 for n = 15) rounds as it does in a batch, and so does a point
+        # of a partial block of a large product (P = 255 and 2049 for
+        # n <= 9); from n = 16 on every tile holds one point in any batch
         for space in KERNEL_SPACES:
             inst = nl.NormInstance(family=random_family(space, n, rng))
-            for P in (1, 2, 3, 2049) if n <= 9 else (1, 2, 3):
+            for P in (1, 2, 3, 255, 2049) if n <= 9 else (1, 2, 3):
                 X = rng.standard_normal((P, n))
                 many = nl.exact_unconditional_norm_many(inst, X)
                 alone = [nl.exact_unconditional_norm_many(inst, x[None, :])[0] for x in X]
