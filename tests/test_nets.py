@@ -271,7 +271,7 @@ class TestAgainstNaiveGreedy:
     def test_same_net_with_calls_past_a_partial_product_block(self):
         # a net of 250 points at n = 5: its distance calls hold hundreds of
         # points, past the size where a partial block of the kernel's
-        # product used to round differently, and one distance landed on the
+        # product used to round differently, and a distance landed on the
         # other side of theta
         V = np.random.default_rng(15).standard_normal((5, 3))
         inst = nl.NormInstance(family=nl.make_family(nl.lp_space("inf", 3), V))

@@ -102,25 +102,25 @@ class TestSplitKernel:
                 vals = np.sort(np.concatenate(parts))
                 assert np.array_equal(vals, s * np.arange(1.0, 2.0**n, 2.0))
 
-    @pytest.mark.parametrize("n, P", [(13, 8), (9, 64)])
-    def test_wide_polytope_keeps_buffers_small(self, rng, n, P):
+    def test_wide_polytope_keeps_buffers_small(self, rng):
         # K = 600 functional rows: at n = 13 each row block of a tile
         # shrinks to _BUFFER // K signed sums (four tiles per point), and at
         # n = 9 a chunk holds _BUFFER // (K 2^8) points (six), so the call
         # allocates a few _BUFFER doubles, not K * _TILE (150 MiB) or all
         # P points by K 2^8 sums at once (75 MiB)
-        fam = random_family(nl.polytope_space(rng.standard_normal((600, 3))), n, rng)
-        inst = nl.NormInstance(family=fam)
-        X = rng.standard_normal((P, n))
-        nl.exact_unconditional_norm_many(inst, X[:1])  # warm the sign tables
-        tracemalloc.start()
-        try:
-            got = nl.exact_unconditional_norm_many(inst, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 << 20  # bytes
-        np.testing.assert_allclose(got, direct_exact_norms(fam, X), rtol=1e-12, atol=0)
+        for n, P in ((13, 8), (9, 64)):
+            fam = random_family(nl.polytope_space(rng.standard_normal((600, 3))), n, rng)
+            inst = nl.NormInstance(family=fam)
+            X = rng.standard_normal((P, n))
+            nl.exact_unconditional_norm_many(inst, X[:1])  # warm the sign tables
+            tracemalloc.start()
+            try:
+                got = nl.exact_unconditional_norm_many(inst, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20  # bytes
+            np.testing.assert_allclose(got, direct_exact_norms(fam, X), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n, K", [(16, 4), (17, 4), (13, 600)])
     def test_blocks_of_lone_point_tiles(self, rng, n, K):
