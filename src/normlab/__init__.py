@@ -25,11 +25,9 @@ from .concentration import (
 from .distortion import (
     ConstantsProfile,
     DistortionReport,
-    FailureStats,
     ProbeSpec,
     UVStats,
     XiSummary,
-    failure_probability,
     run_trial,
     run_trials,
     sphere_sample,
@@ -59,7 +57,6 @@ from .scalar import (
     ScalarSweepResult,
     ScalarTrialReport,
     ScalarXiSummary,
-    scalar_empirical_norm,
     scalar_min_max,
     scalar_xi_sweep,
 )
@@ -67,7 +64,6 @@ from .seeding import derive_seed
 from .signs import (
     SeedRecord,
     SignMatrix,
-    enumerate_signs,
     enumeration_matrix,
     sample_sign_matrix,
 )
@@ -79,7 +75,6 @@ from .spaces import (
     load_family,
     lp_space,
     make_family,
-    norm_eval,
     norming_functional,
     polytope_space,
     save_family,

@@ -19,15 +19,15 @@ import numpy as np
 from .nets import NetPoints, certified_sup_bound
 from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import ENUMERATION_CAP, sample_sign_matrix
-from .spaces import VectorFamily, norming_functional
 from .stats import loglog_slope, quartiles
 from .symmetrize import (
     EmpiricalNormInstance,
     NormInstance,
+    NormKernel,
     batch_empirical_norm,
     exact_unconditional_norm_many,
 )
-from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, sigma, sigma_many_sup_norm
+from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, sigma
 
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
@@ -97,34 +97,26 @@ def sphere_sample(
     return g / norms[:, None]
 
 
-def _sigma_values(family: VectorFamily, X: np.ndarray, vertex_cap: int) -> tuple[np.ndarray, bool]:
-    space = family.space
-    if space.kind == "lp" and space.p is None:
-        return sigma_many_sup_norm(family, X), False
-    if space.kind == "lp" and space.p == 2.0:
-        stack = family.columns[None, :, :] * X[:, None, :]
-        svals = np.linalg.svd(stack, compute_uv=False)
-        return svals[:, 0], False
+def _sigma_values(
+    inst: NormInstance, X: np.ndarray, vertex_cap: int
+) -> tuple[np.ndarray, bool]:
+    vals = inst.kernel.weak_variances(X)
+    if vals is not None:
+        return vals, False
     vals = np.empty(X.shape[0])
     tentative = False
     for i, x in enumerate(X):
-        sr = sigma(family, x, vertex_cap=vertex_cap, lower_bound_beyond_cap=True)
+        sr = sigma(inst.family, x, vertex_cap=vertex_cap, lower_bound_beyond_cap=True)
         vals[i] = sr.value
         tentative = tentative or sr.lower_bound_only
     return vals, tentative
 
 
-def _empirical_subgradient(
-    family: VectorFamily, E: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+def _empirical_subgradient(kernel: NormKernel, E: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Subgradient of x -> (1/N) sum_j ||sum_i eps_ij x_i v_i||."""
-    V = family.columns
+    V = kernel.columns
     U = (V * x[None, :]) @ E  # (m, N) column sums
-    N = E.shape[1]
-    Phi = np.empty_like(U)
-    for j in range(N):
-        Phi[:, j] = norming_functional(family.space, U[:, j])
-    P = V.T @ Phi  # (n, N): <phi_j, v_i>
+    P = V.T @ kernel.norming_functionals(U)  # (n, N): <phi_j, v_i>
     return (E * P).mean(axis=1)
 
 
@@ -147,7 +139,7 @@ def _descent_min(
     for _ in range(steps):
         if step < DESCENT_STEP_MIN:
             break
-        g = _empirical_subgradient(inst.family, E, x)
+        g = _empirical_subgradient(inst.kernel, E, x)
         cand = x - step * g
         nrm = float(exact_unconditional_norm_many(inst, cand[None, :], max_n=max_n)[0])
         if nrm <= 0.0:
@@ -225,7 +217,7 @@ def run_trial(
         certified = bound.value
         covering = bound.covering_status
 
-    svals, tentative = _sigma_values(inst.family, X, vertex_cap)
+    svals, tentative = _sigma_values(inst, X, vertex_cap)
     in_U = svals >= sigma0
     uv = UVStats(
         sigma0=float(sigma0),
@@ -248,22 +240,6 @@ def run_trial(
         samples_used=X.shape[0],
         uv=uv,
     )
-
-
-@dataclass(frozen=True)
-class FailureStats:
-    """Empirical frequency of {min < c_target or max > C_target}."""
-
-    n: int
-    xi: float
-    c_target: float
-    C_target: float
-    trials: int
-    failures: int
-
-    @property
-    def frequency(self) -> float:
-        return self.failures / self.trials
 
 
 def run_trials(
@@ -291,43 +267,6 @@ def run_trials(
     return list(pool.map(one, seeds))
 
 
-def failure_probability(
-    inst: NormInstance,
-    xi: float,
-    trials: int,
-    c_target: float,
-    C_target: float,
-    seed: int,
-    probes: ProbeSpec | None = None,
-    *,
-    reports: list[DistortionReport] | None = None,
-    sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = ENUMERATION_CAP,
-) -> FailureStats:
-    """Frequency of trials escaping the band [c_target, C_target].
-
-    Precomputed ``reports`` (from the same seed derivation) are reused
-    verbatim when supplied.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if reports is None:
-        reports = run_trials(inst, xi, trials, seed, probes, sigma0=sigma0, max_n=max_n)
-    failures = sum(
-        1
-        for r in reports
-        if r.min_estimate.value < c_target or r.max_estimate.value > C_target
-    )
-    return FailureStats(
-        n=inst.n,
-        xi=xi,
-        c_target=float(c_target),
-        C_target=float(C_target),
-        trials=len(reports),
-        failures=failures,
-    )
-
-
 @dataclass(frozen=True)
 class XiSummary:
     xi: float
@@ -348,7 +287,6 @@ class ConstantsProfile:
 
     rows: list[XiSummary]
     small_xi_loglog_slope: float | None
-    failure_rows: list[FailureStats] = field(default_factory=list)
     note: str = UNSPECIFIED_CONSTANTS_NOTE
     reports_by_xi: dict | None = field(default=None, repr=False, compare=False)
 

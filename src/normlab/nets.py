@@ -346,21 +346,25 @@ def net_decompose(
 
 @dataclass(frozen=True)
 class CertifiedBound:
-    """2 * max over the net of the empirical norm; a sup bound conditional
-    on the net's covering status."""
+    """max over the net of the empirical norm / (1 - theta); a sup bound
+    conditional on the net's covering status, None at theta = 1."""
 
-    value: float
+    value: float | None
     covering_status: str
 
 
 def certified_sup_bound(emp: EmpiricalNormInstance, net: NetPoints) -> CertifiedBound:
     """Upper bound on sup of the empirical norm over the unit sphere.
 
-    Valid whenever the net truly covers at theta = 1/2 (triangle
-    inequality plus geometric peeling); the covering status rides along.
+    If every unit vector lies within theta of the net, peeling off nearest
+    net points gives sup <= max_net + theta sup, so sup <= max_net / (1 - theta)
+    (2 max_net at theta = 1/2, bit for bit).  Valid whenever the net truly
+    covers; the covering status rides along.  At theta = 1 the argument
+    gives nothing, and the value is None.
     """
     vals = batch_empirical_norm(emp, net.points)
-    return CertifiedBound(value=2.0 * float(vals.max()), covering_status=net.covering_status)
+    value = float(vals.max()) / (1.0 - net.theta) if net.theta < 1.0 else None
+    return CertifiedBound(value=value, covering_status=net.covering_status)
 
 
 # --- JSON round trip ----------------------------------------------------------

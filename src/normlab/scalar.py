@@ -1,8 +1,7 @@
 """The scalar case: rho_A(y) = (1/N) sum_j |<eps_j, y>| on the Euclidean sphere.
 
 For a sign matrix A this is the empirical averaged norm with a
-one-dimensional ambient space, so it doubles as a consistency oracle for
-the general machinery.  kappa_min / kappa_max are the extreme values of
+one-dimensional ambient space.  kappa_min / kappa_max are the extreme values of
 rho_A over the Euclidean unit sphere.  The maximum is sandwiched by the
 singular-value certificate s_max(A)/sqrt(N) (Cauchy-Schwarz per column).
 In general the extremes are estimated by probes plus projected
@@ -24,7 +23,6 @@ import numpy as np
 from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import SignMatrix, sample_sign_matrix
 from .stats import loglog_slope, quartiles
-from .symmetrize import _empirical_many  # shared kernel keeps values bit-identical
 from .weakvar import largest_singular_value
 
 DESCENT_STEP0 = 0.1
@@ -46,19 +44,6 @@ class ScalarTrialReport:
     argmin: np.ndarray = field(repr=False)
     argmax: np.ndarray = field(repr=False)
     exact_pass: bool = False
-
-
-def scalar_empirical_norm(A: SignMatrix, y) -> float:
-    """(1/N) sum_j |sum_i eps_ij y_i|.
-
-    Routed through the same kernel as the general empirical norm with a
-    one-dimensional space and unit vectors, so the two agree exactly.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (A.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({A.n},)")
-    R = np.ones((1, A.n))
-    return float(_empirical_many(R, "maxabs", None, A.dense(), y[None, :])[0])
 
 
 def _rho_batch(E: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -1,17 +1,15 @@
 """Random sign matrices and exhaustive sign enumeration.
 
 Sign matrices are n x N arrays over {-1, +1}, stored bit-packed
-(bit 1 -> +1, bit 0 -> -1).  Exhaustive enumeration walks all 2^n sign
-vectors in reflected Gray-code order, so consecutive vectors differ in a
-single coordinate; that makes incremental partial-sum updates O(1) per
-pattern.  Since ||sum eps_i w_i|| is invariant under eps -> -eps, the
+(bit 1 -> +1, bit 0 -> -1).  Exhaustive enumeration tables list the 2^n
+sign vectors in reflected Gray-code order, so consecutive vectors differ
+in a single coordinate.  Since ||sum eps_i w_i|| is invariant under eps -> -eps, the
 heavy kernels enumerate one representative per antipodal pair (the last
 coordinate pinned to +1) and weight each value twice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,25 +105,6 @@ def sample_sign_matrix(
     packed = np.packbits(bits)
     packed.setflags(write=False)
     return SignMatrix(packed, n, N, SeedRecord(seed=seed, trial_index=trial_index))
-
-
-def enumerate_signs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[np.ndarray, int | None]]:
-    """Yield all 2^n sign vectors in Gray-code order with the flipped index.
-
-    The first emission reports ``None``; every later one reports the single
-    coordinate that changed, enabling O(1) incremental updates of
-    sum_i eps_i w_i.  Vectors are fresh int8 arrays.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > cap:
-        raise CapacityError(f"enumeration of 2^{n} sign vectors exceeds cap n <= {cap}")
-    eps = -np.ones(n, dtype=np.int8)  # Gray code of 0 is all zero bits -> all -1
-    yield eps.copy(), None
-    for t in range(1, 1 << n):
-        flip = (t & -t).bit_length() - 1  # trailing zeros of t
-        eps[flip] = -eps[flip]
-        yield eps.copy(), flip
 
 
 def enumeration_matrix(n: int, cap: int = ENUMERATION_CAP) -> SignMatrix:

@@ -96,24 +96,8 @@ def polytope_space(functionals) -> NormSpec:
     return NormSpec(kind="polytope", dim=m, functionals=reduced)
 
 
-def _check_point(space: NormSpec, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (space.dim,):
-        raise DimensionMismatchError(
-            f"vector has shape {u.shape}, expected ({space.dim},)",
-            expected=space.dim,
-            got=u.shape[0] if u.ndim == 1 else -1,
-        )
-    if not np.isfinite(u).all():
-        raise NonFiniteInputError("vector contains non-finite entries")
-    return u
-
-
 def norm_rows(space: NormSpec, U: np.ndarray) -> np.ndarray:
-    """||u|| along the last axis of ``U``, vectorized, no validation.
-
-    Hot path shared by the enumeration and empirical-norm kernels.
-    """
+    """||u|| along the last axis of ``U``, vectorized, no validation."""
     if space.kind == "polytope":
         return np.abs(U @ space.functionals.T).max(axis=-1)
     p = space.p
@@ -129,12 +113,6 @@ def norm_rows(space: NormSpec, U: np.ndarray) -> np.ndarray:
     safe = np.where(s > 0.0, s, 1.0)
     out = safe * ((A / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
     return np.where(s > 0.0, out, 0.0)
-
-
-def norm_eval(space: NormSpec, u) -> float:
-    """||u|| with full input validation."""
-    u = _check_point(space, u)
-    return float(norm_rows(space, u))
 
 
 def norming_functional(space: NormSpec, u) -> np.ndarray:

@@ -6,31 +6,40 @@ sampled sign columns.  With a matrix that enumerates every sign vector
 exactly once, the two coincide: that identity is the cornerstone oracle
 for everything downstream.
 
-Enumeration kernel: one representative per antipodal pair (values repeat
-under eps -> -eps, so the last sign is pinned to +1), split
-meet-in-the-middle (Horowitz & Sahni 1974).  A low table walks
-a = min(n-1, 8) signs in Gray order together with the pinned one; a high
-table walks the other b = n-1-a signs.  For each functional row r_k of the
-norm (coordinates for lp, functionals for polytope) the low and high sums
-L_k = low @ (x*r_k)_low and H_k = high @ (x*r_k)_high are small products,
-made for a block of points in one stacked matmul, and pattern (j, i) has
-signed sum H_k[j] + L_k[i].  That outer sum is itself a GEMM with inner
-dimension 2, [H_k, 1] @ [1; L_k], exact bit for bit.  It is written into
-buffers that belong to one kernel call, so concurrent calls share nothing.
-A tile holds whole points by all their patterns, about 2^15 signed sums
-per functional row and 2^20 over all rows (a point with more patterns
-than that spans several tiles); the rows are combined in place, numpy's
-pairwise sum reduces each point's values contiguously, the tiles of one
-point are combined with exact compensated summation (math.fsum), and a
-call divides all its sums at once.  For n <= 9 the high half is empty and
-the low table is the whole half enumeration.
+Prepared kernel: ``NormKernel`` holds what depends only on the family and
+is built once per ``NormInstance`` and ``EmpiricalNormInstance``.  For
+each functional row r_k of the norm (coordinates for lp, functionals for
+polytope) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k>, so the kernel
+keeps the rows, the combine mode, the divisor 2^(n-1) and, for n <= 9, the
+whole half enumeration with the points per product.  Its constructor is
+the one place that looks at the kind of space; the exact and empirical
+norms, the norming functionals and the weak variances read its fields.
+
+Enumeration: one representative per antipodal pair (values repeat under
+eps -> -eps, so the last sign is pinned to +1), split meet-in-the-middle
+(Horowitz & Sahni 1974).  A low table walks a = min(n-1, 8) signs in Gray
+order together with the pinned one; a high table walks the other
+b = n-1-a signs.  The low and high sums L_k = low @ (x*r_k)_low and
+H_k = high @ (x*r_k)_high are small products, made for a block of points
+in one stacked matmul, and pattern (j, i) has signed sum H_k[j] + L_k[i].
+That outer sum is itself a GEMM with inner dimension 2, [H_k, 1] @ [1; L_k],
+exact bit for bit.  It is written into buffers that belong to one kernel
+call, so concurrent calls share nothing.  A tile holds whole points by all
+their patterns, about 2^15 signed sums per functional row and 2^20 over
+all rows (a point with more patterns than that spans several tiles); the
+rows are combined in place, numpy's pairwise sum reduces each point's
+values contiguously, the tiles of one point are combined with exact
+compensated summation (math.fsum), and a call divides all its sums at
+once.  For n <= 9 the high half is empty: the kernel's low table is the
+whole half enumeration, and a chunk of points is one product, one combine
+and one sum.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,7 +52,7 @@ from .signs import (
     half_enumeration_size,
     half_gray_sign_block,
 )
-from .spaces import NormSpec, VectorFamily, validate_family
+from .spaces import NormSpec, VectorFamily, norming_functional, validate_family
 
 # split enumeration: sign bits of the low half, signed sums per row block
 # of a combine tile and in all K row blocks; points per block of a large
@@ -54,14 +63,216 @@ _BUFFER = 1 << 20
 _GEMM_BLOCK = 64
 
 
+class NormKernel:
+    """The norm of one family, prepared once: rows, combine mode and tables.
+
+    ``rows`` (K, n) are the functional rows r_k with ||u(eps)|| =
+    combine_k <eps, x*r_k>: the coordinate rows of V for lp, the images of V
+    under the stored functionals (``dual``) for a polytope.  ``mode`` is the
+    combine: "maxabs" (l_inf, polytope), "sumabs" (l1), "sumsq" (l2) or "p"
+    (any other p).  For n <= 9, ``low`` is the whole half enumeration and
+    ``chunk`` the points per product; for larger n both are None and each
+    call fetches its split tables.  The state is read-only, and every call
+    makes its own buffers.
+    """
+
+    def __init__(self, family: VectorFamily):
+        space = self.space = family.space
+        V = self.columns = family.columns
+        self.n = family.n
+        self.dual = space.functionals if space.kind == "polytope" else None
+        self.p = None
+        if self.dual is not None:
+            self.rows, self.mode = self.dual @ V, "maxabs"
+        elif space.p is None:
+            self.rows, self.mode = V, "maxabs"
+        elif space.p in (1.0, 2.0):
+            self.rows, self.mode = V, "sumabs" if space.p == 1.0 else "sumsq"
+        else:
+            self.rows, self.mode, self.p = V, "p", space.p
+        self.rows.setflags(write=False)
+        self.divisor = half_enumeration_size(self.n)
+        self.low = self.chunk = None
+        if self.n <= _LOW_BITS + 1:
+            self.low = half_gray_sign_block(self.n, 0, self.divisor)
+            # at most _BUFFER signed sums, whole blocks of _GEMM_BLOCK points
+            # past that many, at least two (a lone point is padded to two)
+            chunk = max(2, _BUFFER // (self.rows.shape[0] * self.divisor))
+            self.chunk = chunk - (chunk % _GEMM_BLOCK if chunk > _GEMM_BLOCK else 0)
+
+    def exact(self, X: np.ndarray) -> np.ndarray:
+        """Exact norms of the checked rows of X (P, n).
+
+        numpy sums each tile's values per point; a point that spans several
+        tiles is reduced across them by exact fsum.
+        """
+        P = X.shape[0]
+        if self.low is not None:
+            # only the last chunk is padded: its extra rows end the list
+            parts = [
+                self._low_values(X[ps : ps + self.chunk]).T.sum(axis=1)
+                for ps in range(0, P, self.chunk)
+            ]
+            sums = parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0), *parts])
+            return sums[:P] / self.divisor
+        parts = [tile.sum(axis=1)[: P - ps] for ps, tile in self.value_tiles(X)]
+        sums = np.concatenate([np.zeros(0), *parts])
+        if sums.size > P:
+            # a point's tiles come one after another: exact fsum across them
+            sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
+        return sums / self.divisor
+
+    def _low_values(self, X: np.ndarray) -> np.ndarray:
+        """Values (2^(n-1), m) at every pattern of the points X padded by
+        ``_gemm_rows`` (n <= 9): block k of the product is low @ (X * r_k)^T.
+
+        The products are formed as (K, n, m) with the points along the last
+        axis, which numpy multiplies several times faster than (K, m, n);
+        each GEMM gets its operand in the other order and gives the same bits.
+        """
+        T = self.low @ (self.rows[:, :, None] * np.ascontiguousarray(_gemm_rows(X).T))
+        if self.mode == "maxabs":
+            return np.abs(T, out=T).max(axis=0)  # exact: the bits of a running max
+        return _combine_blocks(T, self.mode, self.p)
+
+    def value_tiles(self, X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Norm values of the points X (P, n) at every antipodal representative.
+
+        Yields (ps, tile): tile (m, patterns) holds the values of the points
+        ps..ps+m at a run of their patterns.  The tiles of one chunk of points
+        come one after another and cover each pattern exactly once; a tile is
+        overwritten by the next one.  A product that a tile makes with several
+        points is padded (``_gemm_rows``), and with at most one point per tile
+        each point is its own one-row stack item, so a point's values do not
+        depend on its batch.
+
+        For n <= 9 each chunk of ``chunk`` points is one tile, the values of
+        the padded chunk, so a last chunk may have more rows than points.
+        Otherwise each of the K row blocks of a tile holds about
+        t = min(_TILE, _BUFFER // K) signed sums: min(P, t // 2^(n-1)) whole
+        points by all their patterns, or one point by all its patterns or a
+        power of two of whole high rows, so a point with more than t patterns
+        spans several tiles.  H_k and L_k are made for a block of c points at
+        once: the points of one tile, or with at most one point per tile about
+        t / (8 (2^a + 2^b)) points, so that their buffers hold a quarter of a
+        tile.  Pattern (j, i) of row k has signed sum [H_k[j], 1] @ [1; L_k[i]],
+        exactly H_k[j] + L_k[i]: one k=2 GEMM per row and point writes the outer
+        sum into buffers of this call.  They hold at most about
+        max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
+        """
+        if self.low is not None:
+            for ps in range(0, X.shape[0], self.chunk):
+                yield ps, self._low_values(X[ps : ps + self.chunk]).T
+            return
+        n, R, mode, p = self.n, self.rows, self.mode, self.p
+        # low walks signs b..n-2 with sign n-1 pinned +1, high signs 0..b-1
+        low = half_gray_sign_block(_LOW_BITS + 1, 0, 1 << _LOW_BITS)
+        high = _high_table(n - 1 - _LOW_BITS)
+        K, b = R.shape[0], high.shape[1]
+        hi, lo = high.shape[0], low.shape[0]
+        tile = min(_TILE, _BUFFER // K)  # signed sums per row block
+        fit = tile // (hi * lo)  # whole points per tile
+        per = max(1, min(X.shape[0], fit))  # points per tile
+        # points per block of small products, their buffers a quarter of a tile
+        c = per if fit > 1 else max(1, min(X.shape[0], tile // (8 * (hi + lo))))
+        rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
+        HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
+        LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
+        T = np.empty((K, per, rows, lo))
+        for ps in range(0, X.shape[0], c):
+            Xc = X[ps : ps + c]
+            m = Xc.shape[0]
+            Y = (_gemm_rows(Xc)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
+            HA[:, :m, :, 0] = (Y[..., :b] @ high.T).reshape(K, -1, hi)[:, :m]
+            LA[:, :m, 1] = (Y[..., b:] @ low.T).reshape(K, -1, lo)[:, :m]
+            for i in range(0, m, per):
+                e = min(m, i + per)
+                for j in range(0, hi, rows):
+                    sums = np.matmul(HA[:, i:e, j : j + rows], LA[:, i:e], out=T[:, : e - i])
+                    yield ps + i, _combine_blocks(sums, mode, p).reshape(e - i, -1)
+
+    def empirical(self, E: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(1/N) sum_j ||column_j|| for each row of X (P, n), sign columns E.
+
+        Points go in chunks whose (c, K, N) block of signed sums stays near
+        _TILE elements.  Each point's block is its own (K, n) @ (n, N) product
+        and its column norms are summed by exact fsum, so a point's value does
+        not depend on the rest of its batch.
+        """
+        K, N = self.rows.shape[0], E.shape[1]
+        c = max(1, _TILE // (K * N))
+        out = np.empty(X.shape[0])
+        for ps in range(0, X.shape[0], c):
+            T = (X[ps : ps + c, None, :] * self.rows) @ E
+            vals = _combine_blocks(T.transpose(1, 0, 2), self.mode, self.p)
+            out[ps : ps + c] = [math.fsum(v) for v in vals.tolist()]
+        return out / N
+
+    def norming_functionals(self, U: np.ndarray) -> np.ndarray:
+        """``spaces.norming_functional`` of each column of U (m, N), as the
+        columns of a C-ordered (m, N) array, bit for bit.
+
+        l_inf and polytopes take one argmax of |<phi, u>| per column (the
+        first on ties, like the per-column call) times a sign; each dual
+        product is a matrix-vector product, as in the per-column call.  A
+        general p keeps the per-column call: numpy's vector pow rounds
+        unlike its scalar one.
+        """
+        if self.mode == "sumabs":
+            return np.sign(U)
+        if self.mode == "p":
+            return np.stack([norming_functional(self.space, u) for u in U.T], axis=1)
+        if self.mode == "sumsq":
+            Ut = np.ascontiguousarray(U.T)  # each column's norm reduced as one row
+            nrm = np.sqrt(np.square(Ut).sum(axis=-1))
+            zero = nrm == 0.0
+            Phi = Ut / np.where(zero, 1.0, nrm)[:, None]
+            Phi[zero] = 0.0
+            return np.ascontiguousarray(Phi.T)
+        F, cols = self.dual, np.arange(U.shape[1])
+        vals = U if F is None else np.matmul(F, U.T[:, :, None])[..., 0].T
+        k = np.abs(vals).argmax(axis=0)
+        s = vals[k, cols]
+        if F is not None:
+            return np.ascontiguousarray((np.copysign(1.0, s)[:, None] * F[k]).T)
+        Phi = np.zeros_like(U)
+        Phi[k, cols] = np.where(s != 0.0, np.copysign(1.0, s), 1.0)
+        return Phi
+
+    def weak_variances(self, X: np.ndarray) -> np.ndarray | None:
+        """Weak variance sigma at each row of X (P, n), or None for l1 and
+        general p, which take ``weakvar.sigma`` one point at a time.
+
+        l_inf: max_k ||x * V[k]||_2; l2: the largest singular value of
+        V diag(x); polytope: max_l ||F_l V diag(x)||_2 with each point's
+        (K, m) @ (m, n) product as in ``weakvar.sigma``, chunked by points.
+        """
+        V = self.columns
+        if self.dual is not None:
+            K, (m, n) = self.dual.shape[0], V.shape
+            c = max(1, _BUFFER // ((K + m) * n))
+            out = np.empty(X.shape[0])
+            for ps in range(0, X.shape[0], c):
+                W = V[None] * X[ps : ps + c, None, :]  # each point's weighted columns
+                out[ps : ps + c] = np.square(self.dual @ W).sum(axis=2).max(axis=1)
+            return np.sqrt(out)
+        if self.mode == "maxabs":
+            return np.sqrt((np.square(V) @ np.square(X).T).max(axis=0))
+        if self.mode == "sumsq":
+            return np.linalg.svd(V[None] * X[:, None, :], compute_uv=False)[:, 0]
+        return None
+
+
 @dataclass(frozen=True)
 class NormInstance:
     """The map x -> average of ||sum eps_i x_i v_i|| over all sign patterns."""
 
     family: VectorFamily
+    kernel: NormKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_family(self.family)
+        object.__setattr__(self, "kernel", NormKernel(self.family))
 
     @property
     def n(self) -> int:
@@ -78,6 +289,7 @@ class EmpiricalNormInstance:
 
     family: VectorFamily
     signs: SignMatrix
+    kernel: NormKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.signs.n != self.family.n:
@@ -87,6 +299,7 @@ class EmpiricalNormInstance:
                 expected=self.family.n,
                 got=self.signs.n,
             )
+        object.__setattr__(self, "kernel", NormKernel(self.family))
 
     @property
     def n(self) -> int:
@@ -99,26 +312,6 @@ class EmpiricalNormInstance:
     @property
     def xi(self) -> float:
         return self.signs.xi
-
-
-def _functional_rows(family: VectorFamily) -> tuple[np.ndarray, str, float | None]:
-    """Rows r_k with ||u(eps)|| = combine_k <eps, x*r_k>, plus the combine mode.
-
-    lp spaces use the coordinate rows of V directly; polytope spaces use
-    the images of V under the stored functionals (max-abs combine).
-    """
-    space = family.space
-    V = family.columns
-    if space.kind == "polytope":
-        return space.functionals @ V, "maxabs", None
-    p = space.p
-    if p is None:
-        return V, "maxabs", None
-    if p == 1.0:
-        return V, "sumabs", None
-    if p == 2.0:
-        return V, "sumsq", None
-    return V, "p", p
 
 
 def _combine_blocks(T: np.ndarray, mode: str, p: float | None) -> np.ndarray:
@@ -184,77 +377,6 @@ def _gemm_rows(Y: np.ndarray) -> np.ndarray:
     return np.concatenate([Y, np.repeat(Y[-1:], pad, axis=0)]) if pad else Y
 
 
-def _low_sums(R: np.ndarray, X: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Signed sums (K, 2^(n-1), P) of the points X (P, n) when the high half
-    is empty: block k is low @ (X * r_k)^T."""
-    return low @ (X * R[:, None, :]).transpose(0, 2, 1)
-
-
-def _value_tiles(
-    R: np.ndarray, mode: str, p: float | None, X: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Norm values of the points X (P, n) at every antipodal representative.
-
-    Yields (ps, tile): tile (m, patterns) holds the values of the points
-    ps..ps+m at a run of their patterns.  The tiles of one chunk of points
-    come one after another and cover each pattern exactly once; a tile is
-    overwritten by the next one.  A product that a tile makes with several
-    points is padded (``_gemm_rows``), and with at most one point per tile
-    each point is its own one-row stack item, so a point's values do not
-    depend on its batch.
-
-    With an empty high half (n <= 9) a chunk holds _BUFFER // (K 2^(n-1))
-    points, whole blocks of ``_GEMM_BLOCK`` past that many and at least two
-    (a lone point is padded to two anyway), and its one tile is the combined
-    ``_low_sums`` of the padded chunk, so a last chunk may have more rows
-    than points.  Otherwise each of the K row blocks of a tile holds about
-    t = min(_TILE, _BUFFER // K) signed sums: min(P, t // 2^(n-1)) whole
-    points by all their patterns, or one point by all its patterns or a
-    power of two of whole high rows, so a point with more than t patterns
-    spans several tiles.  H_k and L_k are made for a block of c points at
-    once: the points of one tile, or with at most one point per tile about
-    t / (8 (2^a + 2^b)) points, so that their buffers hold a quarter of a
-    tile.  Pattern (j, i) of row k has signed sum [H_k[j], 1] @ [1; L_k[i]],
-    exactly H_k[j] + L_k[i]: one k=2 GEMM per row and point writes the outer
-    sum into buffers of this call.  They hold at most about
-    max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
-    """
-    n = X.shape[1]
-    a = min(n - 1, _LOW_BITS)
-    # low walks signs b..n-2 with sign n-1 pinned +1, high signs 0..b-1
-    low, high = half_gray_sign_block(a + 1, 0, 1 << a), _high_table(n - 1 - a)
-    K, b = R.shape[0], high.shape[1]
-    if not b:
-        chunk = max(2, _BUFFER // (K * low.shape[0]))
-        chunk -= chunk % _GEMM_BLOCK if chunk > _GEMM_BLOCK else 0
-        for ps in range(0, X.shape[0], chunk):
-            Xc = _gemm_rows(X[ps : ps + chunk])
-            vals = _combine_blocks(_low_sums(R, Xc, low), mode, p)
-            yield ps, vals.T
-        return
-    hi, lo = high.shape[0], low.shape[0]
-    tile = min(_TILE, _BUFFER // K)  # signed sums per row block
-    fit = tile // (hi * lo)  # whole points per tile
-    per = max(1, min(X.shape[0], fit))  # points per tile
-    # points per block of small products, their buffers a quarter of a tile
-    c = per if fit > 1 else max(1, min(X.shape[0], tile // (8 * (hi + lo))))
-    rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
-    HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
-    LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
-    T = np.empty((K, per, rows, lo))
-    for ps in range(0, X.shape[0], c):
-        Xc = X[ps : ps + c]
-        m = Xc.shape[0]
-        Y = (_gemm_rows(Xc)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
-        HA[:, :m, :, 0] = (Y[..., :b] @ high.T).reshape(K, -1, hi)[:, :m]
-        LA[:, :m, 1] = (Y[..., b:] @ low.T).reshape(K, -1, lo)[:, :m]
-        for i in range(0, m, per):
-            e = min(m, i + per)
-            for j in range(0, hi, rows):
-                sums = np.matmul(HA[:, i:e, j : j + rows], LA[:, i:e], out=T[:, : e - i])
-                yield ps + i, _combine_blocks(sums, mode, p).reshape(e - i, -1)
-
-
 def iter_exact_value_blocks(
     family: VectorFamily, x, max_n: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
@@ -264,8 +386,7 @@ def iter_exact_value_blocks(
     weight 2 implied); concatenated blocks cover all 2^(n-1) patterns.
     """
     _enum_guard(family.n, max_n)
-    R, mode, p = _functional_rows(family)
-    for _, tile in _value_tiles(R, mode, p, _check_points(family.n, x)[:1]):
+    for _, tile in NormKernel(family).value_tiles(_check_points(family.n, x)[:1]):
         yield tile[0].copy()  # the next tile overwrites this one
 
 
@@ -282,48 +403,16 @@ def exact_unconditional_norm(
 def exact_unconditional_norm_many(
     inst: NormInstance, X, max_n: int = ENUMERATION_CAP
 ) -> np.ndarray:
-    """Vectorized exact norm over the rows of X (shape (P, n)).
-
-    numpy sums each tile's values per point; a point that spans several
-    tiles is reduced across them by exact fsum.
-    """
-    n = inst.n
-    _enum_guard(n, max_n)
-    X = _check_points(n, X)
-    R, mode, p = _functional_rows(inst.family)
-    P = X.shape[0]
-    # each tile's sums in turn, a padded copy of a lone point summed as in a batch
-    parts = [tile.sum(axis=1)[: P - ps] for ps, tile in _value_tiles(R, mode, p, X)]
-    sums = np.concatenate([np.zeros(0), *parts])
-    if sums.size > P:
-        # a point's tiles come one after another: exact fsum across them
-        sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
-    return sums / half_enumeration_size(n)
-
-
-def _empirical_many(R: np.ndarray, mode: str, p: float | None, E: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(1/N) sum_j ||column_j|| for each row of X (P, n).
-
-    Points go in chunks whose (c, K, N) block of signed sums stays near
-    _TILE elements.  Each point's block is its own (K, n) @ (n, N) product
-    and its column norms are summed by exact fsum, so a point's value does
-    not depend on the rest of its batch.
-    """
-    K, N = R.shape[0], E.shape[1]
-    c = max(1, _TILE // (K * N))
-    out = np.empty(X.shape[0])
-    for ps in range(0, X.shape[0], c):
-        T = (X[ps : ps + c, None, :] * R) @ E
-        vals = _combine_blocks(T.transpose(1, 0, 2), mode, p)
-        out[ps : ps + c] = [math.fsum(v) for v in vals.tolist()]
-    return out / N
+    """Vectorized exact norm over the rows of X (shape (P, n))."""
+    kernel = inst.kernel
+    _enum_guard(kernel.n, max_n)
+    return kernel.exact(_check_points(kernel.n, X))
 
 
 def empirical_norm(inst: EmpiricalNormInstance, x) -> float:
     """(1/N) sum_j ||sum_i eps_ij x_i v_i||: the batched kernel on a batch of one."""
     X = _check_points(inst.n, x)[:1]
-    R, mode, p = _functional_rows(inst.family)
-    return float(_empirical_many(R, mode, p, inst.signs.dense(), X)[0])
+    return float(inst.kernel.empirical(inst.signs.dense(), X)[0])
 
 
 def batch_empirical_norm(inst: EmpiricalNormInstance, xs) -> np.ndarray:
@@ -331,6 +420,4 @@ def batch_empirical_norm(inst: EmpiricalNormInstance, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(0)
-    X = _check_points(inst.n, xs)
-    R, mode, p = _functional_rows(inst.family)
-    return _empirical_many(R, mode, p, inst.signs.dense(), X)
+    return inst.kernel.empirical(inst.signs.dense(), _check_points(inst.n, xs))

@@ -198,17 +198,6 @@ def sigma(
     return _sigma_smooth_lp(space, W, lower_bound_samples, seed)
 
 
-def sigma_many_sup_norm(family: VectorFamily, X: np.ndarray) -> np.ndarray:
-    """Vectorized exact weak variance for sup-norm spaces (rows of X).
-
-    sigma(x) = max_k ||x . V[k,:]||_2; used by the distortion sphere split
-    where per-point calls would dominate.
-    """
-    V2 = np.square(family.columns)  # (m, n)
-    vals = V2 @ np.square(np.asarray(X, dtype=np.float64)).T  # (m, P)
-    return np.sqrt(vals.max(axis=0))
-
-
 @dataclass(frozen=True)
 class KhinchinBounds:
     """lower = |y|_2 / sqrt(2) <= exact = E|sum eps_i y_i| <= upper = |y|_2."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
+from normlab.spaces import norm_rows
 
 
 @pytest.fixture
@@ -28,6 +29,23 @@ def l2_family(rng):
 def dim1_double():
     """Two copies of the unit vector in a 1-d space: the two-atom workhorse."""
     return nl.make_family(nl.lp_space("inf", 1), [[1.0], [1.0]])
+
+
+def norm(space, u):
+    """||u|| of one vector: the norm oracle of the tests."""
+    return float(norm_rows(space, np.asarray(u, dtype=np.float64)))
+
+
+def enumerate_signs(n):
+    """All 2^n sign vectors in Gray-code order, each with the coordinate that
+    flipped from the previous one (None for the first): the enumeration
+    oracle of the tests, one O(n) step per pattern."""
+    eps = -np.ones(n, dtype=np.int8)  # Gray code 0 is all zero bits -> all -1
+    yield eps.copy(), None
+    for t in range(1, 1 << n):
+        flip = (t & -t).bit_length() - 1  # trailing zeros of t
+        eps[flip] = -eps[flip]
+        yield eps.copy(), flip
 
 
 def space_menu(m=3):

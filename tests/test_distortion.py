@@ -140,25 +140,6 @@ class TestTrialIndependence:
         assert np.array_equal(lone.min_estimate.direction, reports[2].min_estimate.direction)
 
 
-class TestFailureProbability:
-    def test_trivial_band_never_fails(self, inst):
-        p = nl.ProbeSpec(samples=40, descent_steps=0)
-        fs = nl.failure_probability(inst, 0.5, 5, 0.0, math.inf, seed=1, probes=p)
-        assert fs.frequency == 0.0
-
-    def test_impossible_band_always_fails(self, inst):
-        p = nl.ProbeSpec(samples=40, descent_steps=0)
-        fs = nl.failure_probability(inst, 0.5, 5, 2.0, 1.0, seed=1, probes=p)
-        assert fs.frequency == 1.0
-
-    def test_report_reuse_matches_recompute(self, inst):
-        p = nl.ProbeSpec(samples=40, descent_steps=0)
-        reports = nl.run_trials(inst, 0.5, 6, master_seed=3, probes=p)
-        a = nl.failure_probability(inst, 0.5, 6, 0.8, 1.2, seed=3, probes=p)
-        b = nl.failure_probability(inst, 0.5, 6, 0.8, 1.2, seed=3, probes=p, reports=reports)
-        assert a == b
-
-
 class TestXiSweep:
     def test_duplicate_xi_rows_identical(self, inst):
         p = nl.ProbeSpec(samples=40, descent_steps=5)

@@ -1,0 +1,118 @@
+"""Property tests of the prepared norm kernel over every kind of space.
+
+Each batched method must give every point the bits of its own one-point
+call, or of the per-point reference it replaces.  Examples are
+derandomized, so a run is reproducible.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import normlab as nl
+from normlab.spaces import norming_functional
+from normlab.weakvar import sigma
+
+PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+KINDS = ("l1", "l2", "linf", "l3", "poly")
+BATCHES = st.one_of(st.sampled_from([1, 2, 64, 65]), st.integers(193, 300))
+
+
+def _space(kind, m, K, rng, integral=False):
+    if kind != "poly":
+        return nl.lp_space({"l1": 1, "l2": 2, "linf": "inf", "l3": 3}[kind], m)
+    F = rng.integers(-2, 3, size=(K, m)) if integral else rng.standard_normal((K, m))
+    return nl.polytope_space(np.vstack([np.eye(m), F]))  # spans R^m
+
+
+def _family(kind, m, K, n, rng):
+    return nl.make_family(_space(kind, m, K, rng), rng.standard_normal((n, m)))
+
+
+@PROPS
+@given(
+    st.sampled_from(KINDS),
+    st.integers(1, 4),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    BATCHES,
+    st.integers(0, 2**32 - 1),
+)
+@example("poly", 4, 40, 12, 300, 1)
+@example("l3", 3, 1, 9, 193, 2)
+@example("linf", 4, 1, 7, 65, 3)
+@example("l1", 2, 1, 10, 2, 4)
+def test_batched_norms_equal_one_point_calls(kind, m, K, n, P, seed):
+    rng = np.random.default_rng(seed)
+    fam = _family(kind, m, K, n, rng)
+    X = rng.standard_normal((P, n))
+    # the one-point calls dominate at large n: check a spread of points there
+    idx = range(P) if n <= 8 else sorted({0, 1, P // 2, P - 2, P - 1} & set(range(P)))
+    inst = nl.NormInstance(family=fam)
+    exact = nl.exact_unconditional_norm_many(inst, X)
+    for i in idx:
+        alone = nl.exact_unconditional_norm_many(inst, X[i : i + 1])
+        assert exact[i].tobytes() == alone[0].tobytes()
+    signs = nl.sample_sign_matrix(n, int(rng.integers(1, 3 * n + 2)), seed)
+    emp = nl.EmpiricalNormInstance(family=fam, signs=signs)
+    sampled = nl.batch_empirical_norm(emp, X)
+    for i in idx:
+        assert sampled[i].tobytes() == np.float64(nl.empirical_norm(emp, X[i])).tobytes()
+
+
+@PROPS
+@given(
+    st.sampled_from(KINDS),
+    st.integers(1, 4),
+    st.integers(1, 40),
+    st.integers(1, 300),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example("poly", 3, 40, 300, True, 1)
+@example("linf", 4, 1, 64, True, 2)
+@example("l2", 4, 1, 65, True, 3)
+def test_batched_norming_functional_equals_per_column(kind, m, K, N, integral, seed):
+    # small integers make ties and exact zeros; some zeros are -0.0, and
+    # some columns are zero
+    rng = np.random.default_rng(seed)
+    fam = nl.make_family(_space(kind, m, K, rng, integral), rng.standard_normal((2, m)))
+    U = rng.integers(-2, 3, size=(m, N)).astype(float) if integral else rng.standard_normal((m, N))
+    U[rng.random((m, N)) < 0.2] = -0.0
+    U[:, rng.random(N) < 0.1] = 0.0
+    Phi = nl.NormInstance(family=fam).kernel.norming_functionals(U)
+    assert Phi.shape == U.shape and Phi.flags.c_contiguous
+    for j in range(N):
+        assert Phi[:, j].tobytes() == norming_functional(fam.space, U[:, j]).tobytes()
+
+
+@PROPS
+@given(
+    st.sampled_from(("l2", "linf", "poly")),
+    st.integers(1, 4),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    BATCHES,
+    st.integers(0, 2**32 - 1),
+)
+@example("poly", 4, 40, 12, 300, 1)
+@example("poly", 1, 1, 1, 1, 2)
+def test_batched_weak_variance_equals_sigma(kind, m, K, n, P, seed):
+    rng = np.random.default_rng(seed)
+    fam = _family(kind, m, K, n, rng)
+    X = rng.standard_normal((P, n))
+    X[rng.random(P) < 0.05] = 0.0
+    got = nl.NormInstance(family=fam).kernel.weak_variances(X)
+    want = np.array([sigma(fam, x).value for x in X])
+    if kind == "poly":
+        assert got.tobytes() == want.tobytes()
+    else:  # the batched sup-norm and spectral forms round in their own order
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_weak_variance_is_left_to_sigma_for_l1_and_general_p():
+    rng = np.random.default_rng(5)
+    for kind in ("l1", "l3"):
+        kernel = nl.NormInstance(family=_family(kind, 3, 1, 5, rng)).kernel
+        assert kernel.weak_variances(rng.standard_normal((4, 5))) is None

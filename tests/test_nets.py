@@ -124,6 +124,27 @@ class TestCertifiedSupBound:
         X = nl.sphere_sample(inst3, 2000, seed=10)
         assert nl.batch_empirical_norm(emp, X).max() <= bound.value + 1e-9
 
+    @pytest.mark.parametrize("theta", [0.25, 0.75])
+    def test_theta_scaled_bound_dominates_fresh_samples(self, inst3, theta):
+        # sup <= max_net + theta sup by peeling, so sup <= max_net / (1 - theta)
+        net = nl.build_net(inst3, theta, seed=8)
+        assert net.covering_status == "certified-small-n"
+        signs = nl.sample_sign_matrix(inst3.n, 6, seed=9)
+        emp = nl.EmpiricalNormInstance(family=inst3.family, signs=signs)
+        bound = nl.certified_sup_bound(emp, net)
+        assert bound.value == nl.batch_empirical_norm(emp, net.points).max() / (1.0 - theta)
+        X = nl.sphere_sample(inst3, 2000, seed=10)
+        assert nl.batch_empirical_norm(emp, X).max() <= bound.value + 1e-9
+
+    def test_no_certificate_at_theta_one(self, inst3):
+        net = nl.build_net(inst3, 1.0, seed=8)
+        signs = nl.sample_sign_matrix(inst3.n, 6, seed=9)
+        emp = nl.EmpiricalNormInstance(family=inst3.family, signs=signs)
+        assert nl.certified_sup_bound(emp, net).value is None
+        probes = nl.ProbeSpec(samples=20, descent_steps=0, net=net)
+        rep = nl.run_trial(inst3, xi=None, seed=1, probes=probes, signs=signs)
+        assert rep.certified_upper is None and rep.covering_status == net.covering_status
+
     def test_sum_norm_identity_configuration(self, rng):
         # v_i = e_i in the sum norm with an all-plus matrix: the empirical
         # norm is x -> sum |x_i|, which equals the averaged norm, so the

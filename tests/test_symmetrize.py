@@ -11,7 +11,7 @@ from normlab import symmetrize
 from normlab.errors import CapacityError, DimensionMismatchError
 from normlab.signs import half_enumeration_size, half_gray_sign_block
 
-from conftest import random_family, space_menu
+from conftest import enumerate_signs, norm, random_family, space_menu
 
 KERNEL_SPACES = [*space_menu(), nl.lp_space(3, 3)]
 
@@ -25,12 +25,12 @@ def gray_incremental_reference(family, x):
     comp = 0.0
     s = None
     eps_prev = None
-    for eps, flipped in nl.enumerate_signs(family.n):
+    for eps, flipped in enumerate_signs(family.n):
         if s is None:
             s = w @ eps.astype(np.float64)
         else:
             s = s + 2.0 * eps[flipped] * w[:, flipped]
-        val = nl.norm_eval(family.space, s)
+        val = norm(family.space, s)
         y = val - comp
         t = total + y
         comp = (t - total) - y
@@ -89,10 +89,9 @@ class TestSplitKernel:
             w = 2.0 ** np.arange(n)
             X = np.arange(1, P + 1)[:, None] * w
             fam = nl.make_family(nl.lp_space(1, 1), np.ones((n, 1)))
-            R, mode, p = symmetrize._functional_rows(fam)
             seen = [[] for _ in range(P)]
             tiles = {}  # tiles per chunk of points
-            for ps, tile in symmetrize._value_tiles(R, mode, p, X):
+            for ps, tile in symmetrize.NormKernel(fam).value_tiles(X):
                 tiles[ps] = tiles.get(ps, 0) + 1
                 for i, row in enumerate(tile):
                     seen[ps + i].append(row.copy())  # the next tile overwrites this one
@@ -180,10 +179,11 @@ class TestSplitKernel:
         got = nl.exact_unconditional_norm_many(nl.NormInstance(family=fam), X.astype(np.float64))
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [13, 16])
+    @pytest.mark.parametrize("n", [4, 13, 16])
     def test_concurrent_calls_match_serial(self, rng, n):
-        # buffers belong to one kernel call, so calls on one instance from
-        # several threads at once give the serial results
+        # the instance's kernel is read-only and buffers belong to one kernel
+        # call, so calls on one instance from several threads at once give
+        # the serial results
         inst = nl.NormInstance(family=random_family(nl.lp_space("inf", 4), n, rng))
         batches = [rng.standard_normal((int(rng.integers(1, 200)), n)) for _ in range(8)]
         serial = [nl.exact_unconditional_norm_many(inst, X) for X in batches]
@@ -241,7 +241,7 @@ class TestSplitKernel:
             got = np.sort(np.concatenate(list(symmetrize.iter_exact_value_blocks(fam, x))))
             E = ((np.arange(2**10)[:, None] >> np.arange(10)) & 1) * 2.0 - 1.0
             E = np.hstack([E, np.ones((2**10, 1))])  # last sign pinned +1
-            want = np.sort([nl.norm_eval(space, u) for u in (E * x) @ fam.columns.T])
+            want = np.sort([norm(space, u) for u in (E * x) @ fam.columns.T])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_capacity_at_max_n(self, rng):
@@ -258,7 +258,7 @@ class TestExactNorm:
         for i in range(inst.n):
             e = np.zeros(inst.n)
             e[i] = 1.0
-            expected = nl.norm_eval(linf4_family.space, linf4_family.vector(i))
+            expected = norm(linf4_family.space, linf4_family.vector(i))
             assert nl.exact_unconditional_norm(inst, e) == pytest.approx(expected, rel=1e-12)
 
     def test_dim1_two_copies(self, dim1_double):
@@ -328,7 +328,7 @@ class TestEmpiricalNorm:
         signs = nl.SignMatrix.from_dense(np.ones((n, 5), dtype=np.int8))
         emp = nl.EmpiricalNormInstance(family=linf4_family, signs=signs)
         x = rng.standard_normal(n)
-        expected = nl.norm_eval(linf4_family.space, linf4_family.columns @ x)
+        expected = norm(linf4_family.space, linf4_family.columns @ x)
         assert nl.empirical_norm(emp, x) == pytest.approx(expected, rel=1e-12)
 
     def test_oracle_identity_full_enumeration(self, rng):

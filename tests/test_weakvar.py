@@ -6,7 +6,7 @@ import pytest
 import normlab as nl
 from normlab.errors import CapacityError, NonFiniteInputError
 
-from conftest import random_family, space_menu
+from conftest import norm, random_family, space_menu
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,7 +63,7 @@ class TestSigma:
         assert phi is not None
         # dual-ball membership: the dual norm of phi is the support value
         dual_norm = max(
-            abs(float(phi @ u)) / nl.norm_eval(space, u)
+            abs(float(phi @ u)) / norm(space, u)
             for u in rng.standard_normal((200, space.dim))
         )
         assert dual_norm <= 1.0 + 1e-9

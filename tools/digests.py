@@ -1,0 +1,177 @@
+"""Print one sha256 per net build and per experiment CSV, to diff two checkouts.
+
+Run from the root of a checkout, with the BLAS pinned to one thread:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/digests.py > digests.txt
+
+Each line is ``<label> <sha256>``.  Running it on two checkouts and
+diffing the outputs is the byte-identity check of a change to the kernels:
+
+* ``net/...``: 252 greedy builds (l_inf, l1, l2 and l3 families at
+  n = 1..5, theta 0.5, 0.6 and 1.0, budget None, 1, 2 and 30; polytope
+  families at n = 4 and 5, the same thetas, budget None and 30), hashed
+  over points, size, candidate_budget and covering_status;
+* ``csv/...``: every CSV and net file of the experiments of the acceptance
+  criteria at their fixed seeds, of small distortion runs on every kind of
+  space with a theta = 1/2 net, and of the first batches of the benchmark
+  workloads.
+
+``--only net`` or ``--only csv`` prints one part, and ``--match PREFIX``
+only the experiments whose label starts with PREFIX.  The whole run takes
+a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+import normlab as nl  # noqa: E402
+from benchmarks.workloads import WORKLOADS, batch_config  # noqa: E402
+from normlab.harness import run_experiment, validate_config  # noqa: E402
+
+LP = {"linf": "inf", "l1": 1, "l2": 2, "l3": 3}
+POLYTOPE = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0.5, 2, -1]]
+
+
+def _space(kind: str):
+    return nl.polytope_space(POLYTOPE) if kind == "poly" else nl.lp_space(LP[kind], 3)
+
+
+def _vectors(kind: str, n: int) -> list:
+    seed = 1000 * (list(LP) + ["poly"]).index(kind) + n
+    return np.random.default_rng(seed).standard_normal((n, 3)).tolist()
+
+
+def net_digests():
+    cases = [(k, n, b) for k in LP for n in range(1, 6) for b in (None, 1, 2, 30)]
+    cases += [("poly", n, b) for n in (4, 5) for b in (None, 30)]
+    for kind, n, budget in cases:
+        inst = nl.NormInstance(family=nl.make_family(_space(kind), _vectors(kind, n)))
+        for theta in (0.5, 0.6, 1.0):
+            net = nl.build_net(inst, theta, budget=budget, seed=n)
+            h = hashlib.sha256(np.ascontiguousarray(net.points).tobytes())
+            h.update(f"{net.size} {net.candidate_budget} {net.covering_status}".encode())
+            yield f"net/{kind}-n{n}-theta{theta}-budget{budget}", h.hexdigest()
+
+
+def _linf4(seed: int, n: int) -> list:
+    return np.random.default_rng(seed).standard_normal((n, 4)).tolist()
+
+
+def _configs(tmp: Path):
+    """(label, config) of every experiment, in order; a later config may read
+    a net file that an earlier one wrote."""
+    linf4 = {"kind": "lp", "p": "inf", "dim": 4}
+    # criterion 5: nets of l_inf^4 families at n = 1..5
+    rng = np.random.default_rng(505)
+    for n in range(1, 6):
+        vectors = rng.standard_normal((n, 4)).tolist()
+        for theta in (0.5, 0.25):
+            doc = {"experiment": "net-build", "space": linf4, "vectors": vectors, "theta": theta,
+                   "master_seed": 1700 + n}
+            if theta != 0.5 and n > 3:
+                doc["budget"] = 60
+            yield f"c5-n{n}-theta{theta}", doc
+    # criterion 6: the distortion trend at n = 8, 12, 16
+    for n in (8, 12, 16):
+        yield f"c6-n{n}", {
+            "experiment": "distortion", "space": linf4, "vectors": _linf4(6000 + n, n),
+            "xi": 0.5, "trials": 200, "probes": {"samples": 2000, "descent_steps": 50},
+            "master_seed": 611, "threads": 2,
+        }
+    # criterion 7: the xi sweep at n = 12
+    yield "c7", {
+        "experiment": "xi-sweep", "space": linf4, "vectors": _linf4(6012, 12),
+        "xi_list": [0.1, 0.25, 0.5, 1.0, 4.0, 16.0], "trials": 200,
+        "probes": {"samples": 300, "descent_steps": 10}, "master_seed": 712, "threads": 2,
+    }
+    # criterion 9: the scalar sweep at n = 20
+    yield "c9", {
+        "experiment": "scalar-sweep", "n": 20, "xi_list": [0.1, 0.25, 0.5, 1.0], "trials": 500,
+        "probes": {"samples": 64, "descent_steps": 25, "restarts": 2}, "master_seed": 909,
+        "threads": 2,
+    }
+    # criterion 10: exact distributions and amplification
+    yield "c10-n14", {
+        "experiment": "concentration", "space": linf4, "vectors": _linf4(1010, 14),
+        "x": np.random.default_rng(1011).standard_normal(14).tolist(), "master_seed": 1010,
+    }
+    yield "c10-two-atoms", {
+        "experiment": "concentration", "space": {"kind": "lp", "p": "inf", "dim": 1},
+        "vectors": [[1.0], [1.0]], "x": [1.0, 1.0], "N_list": [2, 4, 8, 16], "t": 1.5,
+        "trials": 2500, "master_seed": 1011,
+    }
+    # criterion 11: distortion and scalar sweep
+    yield "c11-distortion", {
+        "experiment": "distortion", "space": {"kind": "lp", "p": "inf", "dim": 3},
+        "vectors": np.random.default_rng(1111).standard_normal((8, 3)).tolist(), "xi": 0.5,
+        "trials": 8, "probes": {"samples": 60, "descent_steps": 10}, "master_seed": 77,
+    }
+    yield "c11-scalar", {
+        "experiment": "scalar-sweep", "n": 6, "xi_list": [0.5, 1.0], "trials": 6,
+        "probes": {"samples": 32, "descent_steps": 10}, "master_seed": 78,
+    }
+    # every kind of space: a theta = 1/2 net, then distortion with it and
+    # exact and empirical norms
+    for kind in (*LP, "poly"):
+        space = nl.space_to_json(_space(kind))
+        fam = {"space": space, "vectors": _vectors(kind, 3)}
+        net_dir = tmp / f"kinds-{kind}-net"
+        yield f"kinds-{kind}-net", {"experiment": "net-build", **fam, "theta": 0.5,
+                                    "master_seed": 5}
+        yield f"kinds-{kind}-distortion", {
+            "experiment": "distortion", **fam, "xi": 1.0, "trials": 4,
+            "probes": {"samples": 200, "descent_steps": 20,
+                       "net_file": str(net_dir / "net.json")},
+            "master_seed": 6,
+        }
+        fam6 = {"space": space, "vectors": _vectors(kind, 6)}
+        yield f"kinds-{kind}-exact", {"experiment": "exact-norm", **fam6, "count": 300,
+                                      "master_seed": 7}
+        yield f"kinds-{kind}-empirical", {"experiment": "empirical-norm", **fam6, "xi": 2.0,
+                                          "count": 300, "master_seed": 8}
+    # the benchmark workloads, two batches each
+    for name in WORKLOADS:
+        for i in range(2):
+            yield f"bench-{name}-{i}", batch_config(name, 1, i, "")
+
+
+def csv_digests(match: str = ""):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for label, doc in _configs(tmp):
+            if not label.startswith(match):
+                continue
+            out = tmp / label
+            doc["output"] = {"dir": str(out), "formats": ["csv"]}
+            run_experiment(validate_config(doc))
+            for path in sorted(out.glob("*")):
+                yield f"csv/{label}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", choices=("net", "csv"))
+    ap.add_argument("--match", default="", help="run only the experiments whose label starts so")
+    args = ap.parse_args(argv)
+    if args.only != "csv" and not args.match:
+        for label, digest in net_digests():
+            print(label, digest, flush=True)
+    if args.only != "net":
+        for label, digest in csv_digests(args.match):
+            print(label, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
