@@ -7,11 +7,10 @@ every current net point exceeds theta.  Separation is therefore certified
 by construction, and any theta-separated subset of the unit sphere obeys
 the packing bound (3/theta)^n for theta <= 1.
 
-Candidates come in batches.  After an accept a batch holds
-``_CANDIDATE_BATCH`` candidates; through a run of rejects it doubles,
-up to ``_MAX_BATCH``, and a larger batch ends at the stop rule at most.
-The Gaussian stream and each point's exact norm do not depend on the batch,
-so neither do the candidates.
+Candidates come in batches of as many points as one exact-norm call
+holds, and a batch never runs past the stop rule.  The Gaussian stream
+and each point's exact norm do not depend on the batch, so neither do
+the candidates.
 
 Each decision asks whether some net point lies within theta.  A batch
 meets the net as it was before the batch in one pass: its candidates
@@ -55,16 +54,13 @@ COVERING_HEURISTIC = "heuristic"
 
 # greedy stop rule: this many consecutive rejected candidates per net point
 _BUDGET_PER_POINT = 50
-# candidates per batch: the smallest batch, and the cap on a batch that
-# grows through a run of rejects
-_CANDIDATE_BATCH = 64
-_MAX_BATCH = 1024
 # nearest-first check: net points per candidate tried, one at a time,
 # before its full distance row
 _NEAREST = 2
 # signed sums per exact-norm call (2^(n-1) per point), at least
-# _CALL_FLOOR points a call; Euclidean distances per nearest-check chunk.
-# Both bound the memory of a call
+# _CALL_FLOOR points a call, and a candidate batch holds one call's points;
+# Euclidean distances per nearest-check chunk.  Both bound the memory of a
+# call
 _CALL_SUMS = 1 << 14
 _CALL_FLOOR = 256
 _GRAM = 1 << 20
@@ -260,10 +256,8 @@ def build_net(
 
     offer_batch(_coordinate_seeds(inst, max_n))
     while (left := effective_budget() - rejects) > 0:
-        # the smallest batch after an accept; through a run of rejects the
-        # batch doubles, and a larger batch ends at the stop rule at most
-        count = min(_MAX_BATCH, max(_CANDIDATE_BATCH, min(rejects, left)))
-        offer_batch(_sphere_batch(inst, count, rng, max_n))
+        # one exact-norm call's worth of candidates, never past the stop rule
+        offer_batch(_sphere_batch(inst, min(_call_points(n), left), rng, max_n))
 
     status = COVERING_HEURISTIC
     if grid_certify and n <= 3:

@@ -9,8 +9,8 @@ subgradient descent: the ``restarts`` lowest probes descend and the
 ``restarts`` highest ascend, all as one stack in lockstep, each start
 with its own step size and its own stop.  At n = 2 the circle decomposes
 into finitely many sign-pattern cones on which rho_A is linear, so an
-exact pass over cone boundaries and interior stationary directions (plus
-a dense angular grid) pins the extremes.
+exact pass over cone boundaries and interior stationary directions pins
+the extremes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .weakvar import largest_singular_value
 
 DESCENT_STEP0 = 0.1
 DESCENT_STEP_MIN = 1e-6
-ANGULAR_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,13 @@ def _descend(E: np.ndarray, y0: np.ndarray, f0, steps: int, sign):
     return Y, F
 
 
-def _exact_circle_extremes(E: np.ndarray, grid: int) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _exact_circle_extremes(E: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Exact min/max of rho on the circle via sign-cone geometry.
 
     rho is linear within each cone where all column signs are constant, so
     its minimum over the circle sits on a cone boundary (an angle
     perpendicular to some column) and its maximum either on a boundary or
     at a cone's interior stationary direction w/|w|, w = (1/N) sum s_j e_j.
-    A dense angular grid is swept as well (belt and braces).
     """
     N = E.shape[1]
     bounds = set()
@@ -126,23 +124,9 @@ def _exact_circle_extremes(E: np.ndarray, grid: int) -> tuple[float, np.ndarray,
             cand.append(w / nw)
     Y = np.array(cand)
     vals = _rho_batch(E, Y)
-    # dense sweep
-    phi = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    G = np.column_stack([np.cos(phi), np.sin(phi)])
-    gvals = _rho_batch(E, G)
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
-    g_min = int(np.argmin(gvals))
-    g_max = int(np.argmax(gvals))
-    if gvals[g_min] < vals[i_min]:
-        y_min, v_min = G[g_min], float(gvals[g_min])
-    else:
-        y_min, v_min = Y[i_min], float(vals[i_min])
-    if gvals[g_max] > vals[i_max]:
-        y_max, v_max = G[g_max], float(gvals[g_max])
-    else:
-        y_max, v_max = Y[i_max], float(vals[i_max])
-    return v_min, y_min, v_max, y_max
+    return float(vals[i_min]), Y[i_min], float(vals[i_max]), Y[i_max]
 
 
 def scalar_min_max(
@@ -152,7 +136,6 @@ def scalar_min_max(
     *,
     descent_steps: int = 50,
     restarts: int = 3,
-    angular_grid: int = ANGULAR_GRID,
 ) -> ScalarTrialReport:
     """Estimate the extremes of rho_A over the Euclidean unit sphere.
 
@@ -188,7 +171,7 @@ def scalar_min_max(
 
     exact_pass = False
     if n == 2:
-        v_min, ym, v_max, yM = _exact_circle_extremes(E, angular_grid)
+        v_min, ym, v_max, yM = _exact_circle_extremes(E)
         exact_pass = True
         if v_min <= best_min:
             best_min, y_min, min_method = v_min, ym, "exact-angular"

@@ -195,8 +195,9 @@ def naive_greedy(inst, theta, budget, seed):
 
     dirs = np.vstack([np.eye(n), -np.eye(n)])
     offer(dirs / exact(inst, dirs)[:, None])
+    chunk = 64  # the Gaussian stream does not depend on the chunk size
     while rejects < stop():
-        g = rng.standard_normal((nets._CANDIDATE_BATCH, n))
+        g = rng.standard_normal((chunk, n))
         offer(g / exact(inst, g)[:, None])
     status = "heuristic"
     if n <= 3:
@@ -239,11 +240,13 @@ class TestBatchSchedule:
         inst = nl.NormInstance(family=random_family(space, n, rng))
         default = nl.build_net(inst, 0.6, budget=budget, seed=n)
         with monkeypatch.context() as m:
-            m.setattr(nets, "_CANDIDATE_BATCH", 1)
-            m.setattr(nets, "_MAX_BATCH", 4096)
+            # each batch holds all that the stop rule still allows
+            m.setattr(nets, "_CALL_SUMS", 1 << 20)
+            assert nets._call_points(n) > max(budget or 0, nets._BUDGET_PER_POINT * default.size)
             batches = nl.build_net(inst, 0.6, budget=budget, seed=n)
-        # the smallest calls: one point or one full distance row each, and
-        # one candidate per nearest-check chunk (n = 3 runs the grid pass)
+        # the smallest calls: one point or one full distance row each, one
+        # candidate per batch and per nearest-check chunk (n = 3 runs the
+        # grid pass)
         monkeypatch.setattr(nets, "_CALL_SUMS", 1)
         monkeypatch.setattr(nets, "_CALL_FLOOR", 1)
         monkeypatch.setattr(nets, "_GRAM", 1)

@@ -14,7 +14,8 @@ diffing the outputs is the byte-identity check of a change to the kernels:
 * ``csv/...``: every CSV and net file of the experiments of the acceptance
   criteria at their fixed seeds, of small distortion runs on every kind of
   space with a theta = 1/2 net, and of the first batches of the benchmark
-  workloads.
+  workloads: two of each, and twenty of ``nets-n4``, whose batches are one
+  build each.
 
 ``--only net`` or ``--only csv`` prints one part, and ``--match PREFIX``
 only the experiments whose label starts with PREFIX.  The whole run takes
@@ -140,9 +141,10 @@ def _configs(tmp: Path):
                                       "master_seed": 7}
         yield f"kinds-{kind}-empirical", {"experiment": "empirical-norm", **fam6, "xi": 2.0,
                                           "count": 300, "master_seed": 8}
-    # the benchmark workloads, two batches each
+    # the benchmark workloads, two batches each and twenty one-build
+    # batches of nets-n4
     for name in WORKLOADS:
-        for i in range(2):
+        for i in range(20 if name == "nets-n4" else 2):
             yield f"bench-{name}-{i}", batch_config(name, 1, i, "")
 
 
