@@ -21,18 +21,15 @@ eps -> -eps, so the last sign is pinned to +1), split meet-in-the-middle
 order together with the pinned one; a high table walks the other
 b = n-1-a signs.  The low and high sums L_k = low @ (x*r_k)_low and
 H_k = high @ (x*r_k)_high are small products, made for a block of points
-in one stacked matmul, and pattern (j, i) has signed sum H_k[j] + L_k[i].
-That outer sum is itself a GEMM with inner dimension 2, [H_k, 1] @ [1; L_k],
-exact bit for bit.  It is written into buffers that belong to one kernel
-call, so concurrent calls share nothing.  A tile holds whole points by all
-their patterns, about 2^15 signed sums per functional row and 2^20 over
-all rows (a point with more patterns than that spans several tiles); the
-rows are combined in place, numpy's pairwise sum reduces each point's
-values contiguously, the tiles of one point are combined with exact
-compensated summation (math.fsum), and a call divides all its sums at
-once.  For n <= 9 the high half is empty: the kernel's low table is the
-whole half enumeration, and a chunk of points is one product, one combine
-and one sum.
+in one stacked matmul, and pattern (j, i) has signed sum H_k[j] + L_k[i],
+itself a GEMM with inner dimension 2, exact bit for bit.  One loop runs
+over tiles of about 2^15 signed sums per functional row: per tile one GEMM
+into a buffer of the kernel call (concurrent calls share nothing), the rows
+combined in place (a max by halving, ceil(log2 K) passes with the bits of a
+running max), and one pairwise sum per point; the tiles of one point are
+combined with exact compensated summation (math.fsum).  For n <= 9 the
+high half is empty: the kernel's low table is the whole half enumeration,
+and a chunk of points is one product, one combine and one sum.
 """
 
 from __future__ import annotations
@@ -101,11 +98,7 @@ class NormKernel:
             self.chunk = chunk - (chunk % _GEMM_BLOCK if chunk > _GEMM_BLOCK else 0)
 
     def exact(self, X: np.ndarray) -> np.ndarray:
-        """Exact norms of the checked rows of X (P, n).
-
-        numpy sums each tile's values per point; a point that spans several
-        tiles is reduced across them by exact fsum.
-        """
+        """Exact norms of the checked rows of X (P, n)."""
         P = X.shape[0]
         if self.low is not None:
             # only the last chunk is padded: its extra rows end the list
@@ -115,12 +108,7 @@ class NormKernel:
             ]
             sums = parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0), *parts])
             return sums[:P] / self.divisor
-        parts = [tile.sum(axis=1)[: P - ps] for ps, tile in self.value_tiles(X)]
-        sums = np.concatenate([np.zeros(0), *parts])
-        if sums.size > P:
-            # a point's tiles come one after another: exact fsum across them
-            sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
-        return sums / self.divisor
+        return self._split_sums(X) / self.divisor
 
     def _low_values(self, X: np.ndarray) -> np.ndarray:
         """Values (2^(n-1), m) at every pattern of the points X padded by
@@ -135,36 +123,41 @@ class NormKernel:
             return np.abs(T, out=T).max(axis=0)  # exact: the bits of a running max
         return _combine_blocks(T, self.mode, self.p)
 
-    def value_tiles(self, X: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Norm values of the points X (P, n) at every antipodal representative.
-
-        Yields (ps, tile): tile (m, patterns) holds the values of the points
-        ps..ps+m at a run of their patterns.  The tiles of one chunk of points
-        come one after another and cover each pattern exactly once; a tile is
-        overwritten by the next one.  A product that a tile makes with several
-        points is padded (``_gemm_rows``), and with at most one point per tile
-        each point is its own one-row stack item, so a point's values do not
-        depend on its batch.
-
-        For n <= 9 each chunk of ``chunk`` points is one tile, the values of
-        the padded chunk, so a last chunk may have more rows than points.
-        Otherwise each of the K row blocks of a tile holds about
-        t = min(_TILE, _BUFFER // K) signed sums: min(P, t // 2^(n-1)) whole
-        points by all their patterns, or one point by all its patterns or a
-        power of two of whole high rows, so a point with more than t patterns
-        spans several tiles.  H_k and L_k are made for a block of c points at
-        once: the points of one tile, or with at most one point per tile about
-        t / (8 (2^a + 2^b)) points, so that their buffers hold a quarter of a
-        tile.  Pattern (j, i) of row k has signed sum [H_k[j], 1] @ [1; L_k[i]],
-        exactly H_k[j] + L_k[i]: one k=2 GEMM per row and point writes the outer
-        sum into buffers of this call.  They hold at most about
-        max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.
+    def value_tiles(self, X: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(ps, tile) pairs: tile (m, patterns) holds the values of the points
+        ps..ps+m at a run of their antipodal representatives, and the tiles of
+        a chunk of points cover each pattern once.  For n <= 9 a tile is a
+        padded chunk of ``chunk`` points, so a last one may have more rows than
+        points; otherwise the tiles are copies of those ``_split_sums`` sums.
         """
         if self.low is not None:
-            for ps in range(0, X.shape[0], self.chunk):
-                yield ps, self._low_values(X[ps : ps + self.chunk]).T
-            return
-        n, R, mode, p = self.n, self.rows, self.mode, self.p
+            c = self.chunk
+            return [(ps, self._low_values(X[ps : ps + c]).T) for ps in range(0, X.shape[0], c)]
+        tiles = []
+        self._split_sums(X, tiles)
+        return tiles
+
+    def _split_sums(self, X: np.ndarray, tiles: list | None = None) -> np.ndarray:
+        """Sum of the values of each point of X (P, n) over its patterns (n >= 10).
+
+        Each of the K row blocks of a tile holds about t = min(_TILE,
+        _BUFFER // K) signed sums: min(P, t // 2^(n-1)) whole points by all
+        their patterns, or one point by a power of two of whole high rows, so a
+        point with more than t patterns spans several tiles.  H_k and L_k are
+        made for a block of c points: the points of one tile, or with at most
+        one per tile about t / (8 (2^a + 2^b)) points.  Products of several
+        points are padded (``_gemm_rows``), one point is its own stack item,
+        so a point's values do not depend on its batch.  Per tile, one stacked
+        k=2 GEMM writes each signed sum [H_k[j], 1] @ [1; L_k[i]] (exactly
+        H_k[j] + L_k[i]) into a buffer of this call, ``_combine_blocks``
+        combines the rows in place through views made once per call, and one
+        reduce sums each point's values contiguously into ``sums`` (a short
+        last tile also sums stale rows, which are dropped).  A point's tiles
+        are combined by exact fsum.  The buffers hold at most about
+        max(_BUFFER, 256 K) + 2 K c (2^a + 2^b) doubles.  If ``tiles`` is a
+        list, each tile's values are appended to it as (first point, copy).
+        """
+        n, R, mode, p, P = self.n, self.rows, self.mode, self.p, X.shape[0]
         # low walks signs b..n-2 with sign n-1 pinned +1, high signs 0..b-1
         low = half_gray_sign_block(_LOW_BITS + 1, 0, 1 << _LOW_BITS)
         high = _high_table(n - 1 - _LOW_BITS)
@@ -172,24 +165,36 @@ class NormKernel:
         hi, lo = high.shape[0], low.shape[0]
         tile = min(_TILE, _BUFFER // K)  # signed sums per row block
         fit = tile // (hi * lo)  # whole points per tile
-        per = max(1, min(X.shape[0], fit))  # points per tile
+        per = max(1, min(P, fit))  # points per tile
         # points per block of small products, their buffers a quarter of a tile
-        c = per if fit > 1 else max(1, min(X.shape[0], tile // (8 * (hi + lo))))
+        c = per if fit > 1 else max(1, min(P, tile // (8 * (hi + lo))))
         rows = min(hi, 1 << max(0, (tile // lo).bit_length() - 1))  # divides hi
         HA = np.ones((K, c, hi, 2))  # [H_k, 1] per point
         LA = np.ones((K, c, 2, lo))  # [1; L_k] per point
         T = np.empty((K, per, rows, lo))
-        for ps in range(0, X.shape[0], c):
+        flat = T.reshape(K, per, -1)  # the tile with each point's values in one row
+        halves = _halves(flat)
+        sums = np.empty((-(-P // per) * (hi // rows), per))  # one row per tile
+        t = 0
+        for ps in range(0, P, c):
             Xc = X[ps : ps + c]
             m = Xc.shape[0]
             Y = (_gemm_rows(Xc)[None] if fit > 1 else Xc[:, None]) * R[:, None, None, :]
             HA[:, :m, :, 0] = (Y[..., :b] @ high.T).reshape(K, -1, hi)[:, :m]
             LA[:, :m, 1] = (Y[..., b:] @ low.T).reshape(K, -1, lo)[:, :m]
             for i in range(0, m, per):
-                e = min(m, i + per)
                 for j in range(0, hi, rows):
-                    sums = np.matmul(HA[:, i:e, j : j + rows], LA[:, i:e], out=T[:, : e - i])
-                    yield ps + i, _combine_blocks(sums, mode, p).reshape(e - i, -1)
+                    np.matmul(HA[:, i : i + per, j : j + rows], LA[:, i : i + per], out=T)
+                    vals = _combine_blocks(flat, mode, p, halves)
+                    np.add.reduce(vals, axis=1, out=sums[t])
+                    t += 1
+                    if tiles is not None:
+                        tiles.append((ps + i, vals[: m - i].copy()))
+        sums = sums.reshape(-1)[: P * (hi // rows)]
+        if hi > rows:
+            # a point's tiles come one after another: exact fsum across them
+            sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
+        return sums
 
     def empirical(self, E: np.ndarray, X: np.ndarray) -> np.ndarray:
         """(1/N) sum_j ||column_j|| for each row of X (P, n), sign columns E.
@@ -314,16 +319,23 @@ class EmpiricalNormInstance:
         return self.signs.xi
 
 
-def _combine_blocks(T: np.ndarray, mode: str, p: float | None) -> np.ndarray:
+def _combine_blocks(T: np.ndarray, mode: str, p: float | None, halves=None) -> np.ndarray:
     """Norm values from the stacked per-row signed sums T (K, ...).
 
-    Works in place: T is consumed and overwritten.
+    Works in place: T is consumed and overwritten.  "maxabs" folds halves of
+    the rows (``halves`` or ``_halves(T)``) with the bits of a running max;
+    "sumabs" and "sumsq" add the rows in order.
     """
+    if mode == "maxabs":
+        np.abs(T, out=T)
+        for a, b in _halves(T) if halves is None else halves:
+            np.maximum(a, b, out=a)
+        return T[0]
     if mode != "p":
         (np.square if mode == "sumsq" else np.abs)(T, out=T)
         out = T[0]
         for t in T[1:]:
-            (np.maximum if mode == "maxabs" else np.add)(out, t, out=out)
+            np.add(out, t, out=out)
         return np.sqrt(out, out=out) if mode == "sumsq" else out
     # general finite p with overflow-safe scaling
     A = np.abs(T, out=T)
@@ -331,6 +343,18 @@ def _combine_blocks(T: np.ndarray, mode: str, p: float | None) -> np.ndarray:
     safe = np.where(s > 0.0, s, 1.0)
     out = safe * ((A / safe) ** p).sum(axis=0) ** (1.0 / p)
     return np.where(s > 0.0, out, 0.0)
+
+
+def _halves(T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """ceil(log2 K) view pairs (a, b) of T (K, ...): np.maximum(a, b, out=a) on
+    each in order folds the top k // 2 of the first k rows onto the bottom,
+    an odd k keeping its middle row, and leaves the max of all rows in T[0]."""
+    pairs, k = [], T.shape[0]
+    while k > 1:
+        h = k // 2
+        pairs.append((T[:h], T[k - h : k]))
+        k -= h
+    return pairs
 
 
 def _check_points(n: int, X) -> np.ndarray:
@@ -387,7 +411,7 @@ def iter_exact_value_blocks(
     """
     _enum_guard(family.n, max_n)
     for _, tile in NormKernel(family).value_tiles(_check_points(family.n, x)[:1]):
-        yield tile[0].copy()  # the next tile overwrites this one
+        yield tile[0]
 
 
 def exact_unconditional_norm(

@@ -5,11 +5,15 @@ call, or of the per-point reference it replaces.  Examples are
 derandomized, so a run is reproducible.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normlab as nl
+from normlab import symmetrize
 from normlab.spaces import norming_functional
 from normlab.weakvar import sigma
 
@@ -59,6 +63,61 @@ def test_batched_norms_equal_one_point_calls(kind, m, K, n, P, seed):
     sampled = nl.batch_empirical_norm(emp, X)
     for i in idx:
         assert sampled[i].tobytes() == np.float64(nl.empirical_norm(emp, X[i])).tobytes()
+
+
+# the split kernel (n >= 10): points per batch past a tile of points at
+# n = 10 and 13, past a block of one-point tiles at n = 16 and 17
+SPLIT_POINTS = {10: 129, 13: 33, 16: 21, 17: 17}
+# every kind with 3 rows (a 6-row polytope), and a 40-row polytope
+SPLIT_KINDS = [(kind, 3) for kind in KINDS] + [("poly", 37)]
+
+
+@pytest.mark.parametrize("n", sorted(SPLIT_POINTS))
+@pytest.mark.parametrize("kind, K", SPLIT_KINDS)
+def test_split_norms_equal_one_point_calls(kind, K, n):
+    # at n = 10 and 13 a tile holds several points and the batch's last tile
+    # also runs over stale rows; at n = 17, and at n = 16 for the 40-row
+    # polytope, a point spans several tiles
+    rng = np.random.default_rng(n * K)
+    inst = nl.NormInstance(family=_family(kind, 3, K, n, rng))
+    X = rng.standard_normal((SPLIT_POINTS[n], n))
+    got = nl.exact_unconditional_norm_many(inst, X)
+    alone = [nl.exact_unconditional_norm_many(inst, x[None, :])[0] for x in X]
+    assert got.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_halving_max_equals_running_max(K):
+    # a max is exact in any order; an odd count of rows keeps its middle row
+    # for the next fold
+    rng = np.random.default_rng(K)
+    T = rng.standard_normal((K, 4, 33))
+    T[rng.random(T.shape) < 0.1] = -0.0
+    T[:, 0, 0] = 1.5  # a tie across all rows
+    want = np.abs(T[0])
+    for t in T[1:]:
+        want = np.maximum(want, np.abs(t))
+    assert len(symmetrize._halves(T)) == math.ceil(math.log2(K))
+    assert symmetrize._combine_blocks(T.copy(), "maxabs", None).tobytes() == want.tobytes()
+    B = np.empty_like(T)
+    halves = symmetrize._halves(B)  # views made once, as the split kernel does
+    for _ in range(2):
+        B[...] = T
+        assert symmetrize._combine_blocks(B, "maxabs", None, halves).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, K", SPLIT_KINDS)
+def test_value_blocks_at_n17_are_the_half_enumeration(kind, K):
+    # each point spans several tiles at n = 17: the blocks hold its 2^16
+    # values, and summing each block and then fsum across them gives the
+    # kernel's sum bit for bit
+    rng = np.random.default_rng(K)
+    fam = _family(kind, 3, K, 17, rng)
+    x = rng.standard_normal(17)
+    blocks = list(symmetrize.iter_exact_value_blocks(fam, x))
+    assert len(blocks) > 1 and sum(b.size for b in blocks) == 2**16
+    mean = math.fsum(b.sum() for b in blocks) / 2**16
+    assert mean == nl.exact_unconditional_norm(nl.NormInstance(family=fam), x)
 
 
 @PROPS

@@ -1,4 +1,4 @@
-"""Print one sha256 per net build and per experiment CSV, to diff two checkouts.
+"""Print one sha256 per exact-norm batch, net build and experiment CSV, to diff two checkouts.
 
 Run from the root of a checkout, with the BLAS pinned to one thread:
 
@@ -7,6 +7,10 @@ Run from the root of a checkout, with the BLAS pinned to one thread:
 Each line is ``<label> <sha256>``.  Running it on two checkouts and
 diffing the outputs is the byte-identity check of a change to the kernels:
 
+* ``exact/...``: the exact norms of 64 seeded points, and the value
+  blocks of one point (``iter_exact_value_blocks``, the concentration
+  path), at n = 10, 13, 16 and 17 on l_inf, l1, l2, l3, the 6-row polytope
+  and a 40-row polytope, whose points span several tiles at n = 16;
 * ``net/...``: 252 greedy builds (l_inf, l1, l2 and l3 families at
   n = 1..5, theta 0.5, 0.6 and 1.0, budget None, 1, 2 and 30; polytope
   families at n = 4 and 5, the same thetas, budget None and 30), hashed
@@ -17,7 +21,7 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   workloads: two of each, and twenty of ``nets-n4``, whose batches are one
   build each.
 
-``--only net`` or ``--only csv`` prints one part, and ``--match PREFIX``
+``--only exact``, ``--only net`` or ``--only csv`` prints one part, and ``--match PREFIX``
 only the experiments whose label starts with PREFIX.  The whole run takes
 a few minutes on two cores.
 """
@@ -39,6 +43,7 @@ sys.path.insert(0, str(ROOT))
 import normlab as nl  # noqa: E402
 from benchmarks.workloads import WORKLOADS, batch_config  # noqa: E402
 from normlab.harness import run_experiment, validate_config  # noqa: E402
+from normlab.symmetrize import iter_exact_value_blocks  # noqa: E402
 
 LP = {"linf": "inf", "l1": 1, "l2": 2, "l3": 3}
 POLYTOPE = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0.5, 2, -1]]
@@ -51,6 +56,22 @@ def _space(kind: str):
 def _vectors(kind: str, n: int) -> list:
     seed = 1000 * (list(LP) + ["poly"]).index(kind) + n
     return np.random.default_rng(seed).standard_normal((n, 3)).tolist()
+
+
+def exact_digests():
+    wide = np.random.default_rng(40).standard_normal((40, 3))
+    for n in (10, 13, 16, 17):
+        for kind in (*LP, "poly", "poly40"):
+            space = nl.polytope_space(wide) if kind == "poly40" else _space(kind)
+            fam = nl.make_family(space, np.random.default_rng(n).standard_normal((n, 3)))
+            X = np.random.default_rng(100 + n).standard_normal((64, n))
+            norms = nl.exact_unconditional_norm_many(nl.NormInstance(family=fam), X)
+            yield f"exact/{kind}-n{n}-norms", hashlib.sha256(norms.tobytes()).hexdigest()
+            h = hashlib.sha256()
+            for block in iter_exact_value_blocks(fam, X[0]):
+                h.update(f"{block.size} ".encode())
+                h.update(block.tobytes())
+            yield f"exact/{kind}-n{n}-blocks", h.hexdigest()
 
 
 def net_digests():
@@ -163,13 +184,16 @@ def csv_digests(match: str = ""):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", choices=("net", "csv"))
+    ap.add_argument("--only", choices=("exact", "net", "csv"))
     ap.add_argument("--match", default="", help="run only the experiments whose label starts so")
     args = ap.parse_args(argv)
-    if args.only != "csv" and not args.match:
+    if args.only in (None, "exact") and not args.match:
+        for label, digest in exact_digests():
+            print(label, digest, flush=True)
+    if args.only in (None, "net") and not args.match:
         for label, digest in net_digests():
             print(label, digest, flush=True)
-    if args.only != "net":
+    if args.only in (None, "csv"):
         for label, digest in csv_digests(args.match):
             print(label, digest, flush=True)
     return 0
