@@ -21,9 +21,9 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   workloads: two of each, and twenty of ``nets-n4``, whose batches are one
   build each.
 
-``--only exact``, ``--only net`` or ``--only csv`` prints one part, and ``--match PREFIX``
-only the experiments whose label starts with PREFIX.  The whole run takes
-a few minutes on two cores.
+``--only exact``, ``--only net`` or ``--only csv`` prints one part, and
+``--match PREFIX`` only the experiments whose label starts with PREFIX.
+The whole run takes a few minutes on two cores.
 """
 
 from __future__ import annotations
