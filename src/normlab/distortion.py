@@ -3,11 +3,14 @@
 One trial draws a sign matrix with N = round((1+xi) n) columns, probes the
 empirical norm over unit vectors of the exact averaged norm (optional net
 points plus fresh sphere samples), and refines the minimum by projected
-subgradient descent on the sphere.  The reported minimum is the exact
-minimum over everything evaluated, hence an upper bound on the true
-minimum over the sphere; the maximum likewise a lower bound on the true
-maximum.  Sweeps over xi aggregate trial quartiles and fit the small-xi
-log-log slope of the median minimum (reported, never asserted).
+subgradient descent on the sphere: the lowest probe is a stack of one
+start for the engine that the scalar case shares (``stats.descend``),
+renormalised by the exact norm.  There is no ascent and no restart, so
+the harness rejects ``probes.restarts`` here.  The reported minimum is
+the exact minimum over everything evaluated, hence an upper bound on the
+true minimum over the sphere; the maximum likewise a lower bound on the
+true maximum.  Sweeps over xi aggregate trial quartiles and fit the
+small-xi log-log slope of the median minimum (reported, never asserted).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .nets import NetPoints, certified_sup_bound
 from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import ENUMERATION_CAP, sample_sign_matrix
-from .stats import loglog_slope, quartiles
+from .stats import descend, loglog_slope, quartiles
 from .symmetrize import (
     EmpiricalNormInstance,
     NormInstance,
@@ -31,9 +34,6 @@ from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, sigma
 
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
-
-DESCENT_STEP0 = 0.1
-DESCENT_STEP_MIN = 1e-6
 
 UNSPECIFIED_CONSTANTS_NOTE = (
     "the isomorphism and failure-probability constants of the underlying "
@@ -112,46 +112,15 @@ def _sigma_values(
     return vals, tentative
 
 
-def _empirical_subgradient(kernel: NormKernel, E: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Subgradient of x -> (1/N) sum_j ||sum_i eps_ij x_i v_i||."""
+def _empirical_subgradients(kernel: NormKernel, E: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Subgradients of x -> (1/N) sum_j ||sum_i eps_ij x_i v_i||, one per row of X."""
     V = kernel.columns
-    U = (V * x[None, :]) @ E  # (m, N) column sums
-    P = V.T @ kernel.norming_functionals(U)  # (n, N): <phi_j, v_i>
-    return (E * P).mean(axis=1)
-
-
-def _descent_min(
-    inst: NormInstance,
-    emp: EmpiricalNormInstance,
-    x0: np.ndarray,
-    f0: float,
-    steps: int,
-    max_n: int,
-) -> tuple[np.ndarray, float]:
-    """Projected subgradient descent on the exact-norm sphere.
-
-    Candidates are renormalized by the exact norm each step; only
-    improvements are kept, so the estimate can only decrease.
-    """
-    E = emp.signs.dense()
-    x, fx = x0, f0
-    step = DESCENT_STEP0
-    for _ in range(steps):
-        if step < DESCENT_STEP_MIN:
-            break
-        g = _empirical_subgradient(inst.kernel, E, x)
-        cand = x - step * g
-        nrm = float(exact_unconditional_norm_many(inst, cand[None, :], max_n=max_n)[0])
-        if nrm <= 0.0:
-            step *= 0.5
-            continue
-        cand = cand / nrm
-        fc = float(batch_empirical_norm(emp, cand[None, :])[0])
-        if fc < fx:
-            x, fx = cand, fc
-        else:
-            step *= 0.5
-    return x, fx
+    G = np.empty_like(X)
+    for i, x in enumerate(X):
+        U = (V * x[None, :]) @ E  # (m, N) column sums
+        P = V.T @ kernel.norming_functionals(U)  # (n, N): <phi_j, v_i>
+        G[i] = (E * P).mean(axis=1)
+    return G
 
 
 def run_trial(
@@ -203,11 +172,18 @@ def run_trial(
 
     min_est = Estimate(value=probe_min, direction=X[i_min].copy(), method=probe_method(i_min))
     if probes.descent_steps > 0:
-        x_d, f_d = _descent_min(
-            inst, emp, min_est.direction, min_est.value, probes.descent_steps, max_n
+        # a stack of one start, renormalised by the exact norm; a row's
+        # state is the point itself
+        E = signs.dense()
+        start = min_est.direction[None, :]
+        Y, F = descend(
+            start, min_est.value, start, probes.descent_steps, 1.0,
+            subgradient=lambda S: _empirical_subgradients(inst.kernel, E, S),
+            norm=lambda C: exact_unconditional_norm_many(inst, C, max_n=max_n),
+            evaluate=lambda C: (batch_empirical_norm(emp, C), C),
         )
-        if f_d < min_est.value:
-            min_est = Estimate(value=f_d, direction=x_d, method="local-descent")
+        if F[0] < min_est.value:
+            min_est = Estimate(value=float(F[0]), direction=Y[0], method="local-descent")
     max_est = Estimate(value=float(vals[i_max]), direction=X[i_max].copy(), method=probe_method(i_max))
 
     certified = None

@@ -254,7 +254,10 @@ class ExperimentConfig:
     def threads(self) -> int:
         if "threads" in self.raw:
             return self.raw["threads"]
-        env = os.environ.get("NORMLAB_THREADS")
+        env = os.environ.get("NORMLAB_THREADS", "").strip()
+        if env and not (env.isdecimal() and int(env) >= 1):  # the schema's bound
+            msg = f"config field 'threads' is invalid: NORMLAB_THREADS = {env!r}, not an integer >= 1"
+            raise ConfigError(msg, field="threads", path=self.path)
         return int(env) if env else 1
 
 
@@ -359,6 +362,9 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     if exp in ("distortion", "xi-sweep") and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
+    if exp in ("distortion", "xi-sweep") and "restarts" in doc.get("probes", {}):
+        msg = f"config field 'probes/restarts' has no effect on '{exp}': it descends from one start"
+        raise ConfigError(msg, field="probes/restarts", path=path)
     if exp == "net-build" and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
         msg = f"config field 'theta' is invalid: {doc['theta']!r} is not finite"
         raise ConfigError(msg, field="theta", path=path)
@@ -375,6 +381,7 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     if exp == "concentration" and len(doc["x"]) != n:
         msg = f"config field 'x' has length {len(doc['x'])}, expected n = {n}"
         raise ConfigError(msg, field="x", path=path)
+    cfg.threads  # a bad NORMLAB_THREADS fails here, not mid-run
     return cfg
 
 

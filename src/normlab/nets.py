@@ -23,9 +23,11 @@ from the net in one kernel call, and the rejects between accepts are
 counted as a run.  The Euclidean order is never used as a bound, and an
 exact distance has the same bits in any batch, so every decision, and
 hence the net, is that of the sequential greedy rule with full distance
-rows.  A kernel call is sized by signed sums, not points: about
-``_CALL_SUMS`` of them, 2^(n-1) per point, with at least ``_CALL_FLOOR``
-points (a full distance row at least), which bounds its memory.
+rows.  A candidate batch and a run of full distance rows are sized by
+signed sums, not points: about ``_CALL_SUMS`` of them, 2^(n-1) per point,
+with at least ``_CALL_FLOOR`` points (a full distance row at least).  Each
+is one kernel call, as is an accept's call against the later candidates;
+the kernel bounds its own memory, so no call is split for it.
 
 Covering of the whole sphere is heuristic in general; for n <= 3 a dense
 deterministic grid pass upgrades the status to "certified-small-n" when
@@ -145,30 +147,9 @@ def _call_points(n: int) -> int:
     return max(_CALL_FLOOR, _CALL_SUMS >> (n - 1))
 
 
-def _distances_to(inst: NormInstance, x: np.ndarray, pts: np.ndarray, max_n: int) -> np.ndarray:
-    return exact_unconditional_norm_many(inst, x[None, :] - pts, max_n=max_n)
-
-
-def _norms(inst: NormInstance, X: np.ndarray, max_n: int) -> np.ndarray:
-    """Exact norms of the rows of X, ``_call_points`` rows per call."""
-    call = _call_points(inst.n)
-    parts = [
-        exact_unconditional_norm_many(inst, X[s : s + call], max_n=max_n)
-        for s in range(0, X.shape[0], call)
-    ]
-    return np.concatenate([np.zeros(0), *parts])
-
-
-def _sphere_batch(inst: NormInstance, count: int, rng, max_n: int) -> np.ndarray:
-    g = rng.standard_normal((count, inst.n))
-    return g / _norms(inst, g, max_n)[:, None]
-
-
-def _coordinate_seeds(inst: NormInstance, max_n: int) -> np.ndarray:
-    eye = np.eye(inst.n)
-    dirs = np.vstack([eye, -eye])
-    norms = exact_unconditional_norm_many(inst, dirs, max_n=max_n)
-    return dirs / norms[:, None]
+def _unit(inst: NormInstance, X: np.ndarray, max_n: int) -> np.ndarray:
+    """The rows of X scaled to unit exact norm, in one kernel call."""
+    return X / exact_unconditional_norm_many(inst, X, max_n=max_n)[:, None]
 
 
 def _grid_directions(n: int) -> np.ndarray | None:
@@ -251,13 +232,13 @@ def build_net(
             pos = j + 1
             todo = todo[1:]
             if todo.size:
-                todo = todo[_norms(inst, cands[todo] - c, max_n) > theta]
+                todo = todo[exact_unconditional_norm_many(inst, cands[todo] - c, max_n=max_n) > theta]
         reject_run(cands.shape[0] - pos, stop)
 
-    offer_batch(_coordinate_seeds(inst, max_n))
+    offer_batch(_unit(inst, np.vstack([np.eye(n), -np.eye(n)]), max_n))
     while (left := effective_budget() - rejects) > 0:
         # one exact-norm call's worth of candidates, never past the stop rule
-        offer_batch(_sphere_batch(inst, min(_call_points(n), left), rng, max_n))
+        offer_batch(_unit(inst, rng.standard_normal((min(_call_points(n), left), n)), max_n))
 
     status = COVERING_HEURISTIC
     if grid_certify and n <= 3:
@@ -265,9 +246,7 @@ def build_net(
         # extend the candidate stream; iterate until the grid is covered.
         # A covered grid point stays covered, so each pass checks only the
         # last pass's misses, against the net points that pass added
-        grid = _grid_directions(n)
-        gnorms = exact_unconditional_norm_many(inst, grid, max_n=max_n)
-        misses = grid / gnorms[:, None]
+        misses = _unit(inst, _grid_directions(n), max_n)
         seen = 0  # net[:seen] is already checked against every miss
         for _ in range(misses.shape[0]):
             misses = misses[_far_from(inst, misses, net[seen:size], theta + 1e-12, max_n)]
@@ -316,7 +295,7 @@ def net_decompose(
         if rnorm <= 1e-15:
             break
         unit = r / rnorm
-        d = _distances_to(inst, unit, net.points, max_n)
+        d = exact_unconditional_norm_many(inst, unit[None, :] - net.points, max_n=max_n)
         j = int(np.argmin(d))
         if d[j] > net.theta + 1e-12:
             raise CoveringViolationError(

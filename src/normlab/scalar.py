@@ -6,8 +6,9 @@ rho_A over the Euclidean unit sphere.  The maximum is sandwiched by the
 singular-value certificate s_max(A)/sqrt(N) (Cauchy-Schwarz per column).
 In general the extremes are estimated by probes plus projected
 subgradient descent: the ``restarts`` lowest probes descend and the
-``restarts`` highest ascend, all as one stack in lockstep, each start
-with its own step size and its own stop.  At n = 2 the circle decomposes
+``restarts`` highest ascend, all as one stack moved in lockstep by the
+engine that distortion shares (``stats.descend``), each start with its
+own step size and its own stop.  At n = 2 the circle decomposes
 into finitely many sign-pattern cones on which rho_A is linear, so an
 exact pass over cone boundaries and interior stationary directions pins
 the extremes.
@@ -22,11 +23,8 @@ import numpy as np
 
 from .seeding import derive_seed, trial_seeds_for_xi
 from .signs import SignMatrix, sample_sign_matrix
-from .stats import loglog_slope, quartiles
+from .stats import descend, loglog_slope, quartiles
 from .weakvar import largest_singular_value
-
-DESCENT_STEP0 = 0.1
-DESCENT_STEP_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,41 +51,28 @@ def _rho_batch(E: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _descend(E: np.ndarray, y0: np.ndarray, f0, steps: int, sign):
     """Projected subgradient descent (sign=+1) or ascent (sign=-1) of rho.
 
-    The rows of ``y0`` (values ``f0``) move in lockstep: a step is one
-    subgradient product and one evaluation for the whole stack.  Each row
-    keeps its own step size, halved when its candidate is rejected, and
-    stops once that falls below DESCENT_STEP_MIN; a stopped row is left
-    as it is, so no row's path depends on the others.  ``sign`` is one
-    value or one per row.  Returns the stack and its values; a 1-d ``y0``
-    is a stack of one and returns ``(y, float)``.
+    ``stats.descend`` moves the rows of ``y0`` (values ``f0``) in lockstep
+    on the Euclidean sphere.  A row's state is its column products
+    ``y @ E``, which give both its value and its subgradient, so a step is
+    two products for the whole stack.  Returns the stack and its values; a
+    1-d ``y0`` is a stack of one and returns ``(y, float)``.
     """
     N = E.shape[1]
     Y = np.array(y0, dtype=np.float64, ndmin=2)
-    F = np.array(f0, dtype=np.float64, ndmin=1)
-    sign = np.broadcast_to(np.asarray(sign, dtype=np.float64), F.shape)
-    step = np.full(F.shape, DESCENT_STEP0)
-    Z = Y @ E  # the stack's column products, kept with Y
     # sign(Z) @ E.T sums +-1 products exactly, so any layout gives its bits
     ET = np.ascontiguousarray(E.T)
-    for _ in range(steps):
-        active = step >= DESCENT_STEP_MIN
-        if not active.any():
-            break
-        C = Y - (sign * step)[:, None] * (np.sign(Z) @ ET / N)
+
+    def evaluate(C):
+        Z = C @ E
+        return np.add.reduce(np.abs(Z), axis=1) / N, Z
+
+    Y, F = descend(
+        Y, f0, Y @ E, steps, sign,
+        subgradient=lambda Z: np.sign(Z) @ ET / N,
         # the arithmetic of np.linalg.norm(C, axis=1) and of .mean(axis=1)
-        nrm = np.sqrt(np.add.reduce(C * C, axis=1))
-        live = active & (nrm > 0.0)
-        # a row that is not live may divide to nan here; it never reaches
-        # Y, Z or F, since every copy below is masked by better <= live
-        with np.errstate(divide="ignore", invalid="ignore"):
-            C /= nrm[:, None]
-        ZC = C @ E
-        FC = np.add.reduce(np.abs(ZC), axis=1) / N
-        better = live & (sign * (FC - F) < 0.0)
-        np.copyto(Y, C, where=better[:, None])
-        np.copyto(Z, ZC, where=better[:, None])
-        np.copyto(F, FC, where=better)
-        step[active & ~better] *= 0.5
+        norm=lambda C: np.sqrt(np.add.reduce(C * C, axis=1)),
+        evaluate=evaluate,
+    )
     if np.ndim(y0) == 1:
         return Y[0], float(F[0])
     return Y, F

@@ -71,9 +71,6 @@ class SignMatrix:
         """Oversampling ratio N/n - 1."""
         return self.N / self.n - 1.0
 
-    def column(self, j: int) -> np.ndarray:
-        return self.dense()[:, j]
-
     def __eq__(self, other):
         if not isinstance(other, SignMatrix):
             return NotImplemented

@@ -41,10 +41,6 @@ class NormSpec:
     p: float | None = None
     functionals: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def is_sup_norm(self) -> bool:
-        return self.kind == "lp" and self.p is None
-
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented
@@ -174,9 +170,6 @@ class VectorFamily:
     @property
     def dim(self) -> int:
         return self.columns.shape[0]
-
-    def vector(self, i: int) -> np.ndarray:
-        return self.columns[:, i]
 
 
 def make_family(space: NormSpec, vectors) -> VectorFamily:

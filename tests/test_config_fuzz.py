@@ -26,13 +26,14 @@ ORACLE = jsonschema.Draft202012Validator(SCHEMA)
 # small families, n <= 3, so that every valid config runs in milliseconds
 LINF = {"space": {"kind": "lp", "p": "inf", "dim": 2}, "vectors": [[1.0, 0.5], [-0.25, 1.0], [0.5, 2.0]]}
 POLY = {"space": {"kind": "polytope", "functionals": [[1, 0], [0, 1], [1, 1]]}, "random_vectors": {"n": 2, "seed": 3}}
-PROBES = {"samples": 4, "descent_steps": 2, "restarts": 1}
+# restarts acts only in the scalar sweep; distortion and xi-sweep reject it
+PROBES = {"samples": 4, "descent_steps": 2}
 BASES = {
     "exact-norm": {**LINF, "count": 2, "points": [[1.0, 0.0, -1.0]]},
     "empirical-norm": {**POLY, "N": 3, "count": 2, "enumerate": True},
     "distortion": {**LINF, "xi": 0.5, "trials": 1, "probes": PROBES, "caps": {"max_enum_n": 22}, "threads": 2},
     "xi-sweep": {**POLY, "xi_list": [0.5, 1], "trials": 1, "probes": PROBES, "sigma0": 0.5},
-    "scalar-sweep": {"n": 3, "xi_list": [0.5], "trials": 1, "probes": PROBES, "tau": 0.1},
+    "scalar-sweep": {"n": 3, "xi_list": [0.5], "trials": 1, "probes": {**PROBES, "restarts": 1}, "tau": 0.1},
     "concentration": {**LINF, "x": [1.0, -0.5, 2.0], "N_list": [2], "t": 6.0, "t_grid": [0.5], "trials": 4},
     "net-build": {**POLY, "theta": 0.75, "budget": 3},
 }

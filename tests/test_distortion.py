@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import normlab as nl
+from normlab.stats import DESCENT_STEP0, DESCENT_STEP_MIN
 
 from conftest import random_family
 
@@ -127,6 +130,76 @@ class TestRunTrial:
     def test_invalid_N(self, inst):
         with pytest.raises(ValueError):
             nl.run_trial(inst, xi=-0.999, seed=1)
+
+
+def reference_subgradient(kernel, E, x):
+    """The subgradient of x -> (1/N) sum_j ||sum_i eps_ij x_i v_i|| at one point."""
+    V = kernel.columns
+    U = (V * x[None, :]) @ E  # (m, N) column sums
+    P = V.T @ kernel.norming_functionals(U)  # (n, N): <phi_j, v_i>
+    return (E * P).mean(axis=1)
+
+
+def reference_descent_min(inst, emp, x0, f0, steps):
+    """One start's projected subgradient descent on the exact-norm sphere,
+    one point per call: the loop that the shared engine replaced."""
+    E = emp.signs.dense()
+    x, fx = x0, f0
+    step = DESCENT_STEP0
+    for _ in range(steps):
+        if step < DESCENT_STEP_MIN:
+            break
+        cand = x - step * reference_subgradient(inst.kernel, E, x)
+        nrm = float(nl.exact_unconditional_norm_many(inst, cand[None, :])[0])
+        if nrm <= 0.0:
+            step *= 0.5
+            continue
+        cand = cand / nrm
+        fc = float(nl.batch_empirical_norm(emp, cand[None, :])[0])
+        if fc < fx:
+            x, fx = cand, fc
+        else:
+            step *= 0.5
+    return x, fx
+
+
+def _reference_space(kind, m, rng):
+    if kind == "poly":
+        return nl.polytope_space(np.vstack([np.eye(m), rng.standard_normal((3, m))]))
+    return nl.lp_space({"l1": 1, "l2": 2, "linf": "inf", "l3": 3}[kind], m)
+
+
+class TestDescentReference:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["linf", "l1", "l2", "l3", "poly"]),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 24),
+        st.sampled_from([1, 5, 30, 200]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("l1", 3, 4, 20, 200, False, 1)
+    @example("l3", 2, 3, 10, 200, True, 2)
+    @example("linf", 3, 5, 24, 30, True, 3)
+    @example("poly", 2, 4, 16, 200, False, 4)
+    @example("l2", 3, 4, 12, 5, True, 5)
+    def test_min_estimate_equals_the_one_point_loop(self, kind, m, n, samples, steps, with_net, seed):
+        rng = np.random.default_rng(seed)
+        fam = nl.make_family(_reference_space(kind, m, rng), rng.standard_normal((n, m)))
+        inst = nl.NormInstance(family=fam)
+        signs = nl.sample_sign_matrix(n, int(rng.integers(1, 2 * n + 2)), seed)
+        net = nl.build_net(inst, 1.0, seed=seed, grid_certify=False) if with_net or samples == 0 else None
+        probes = nl.ProbeSpec(samples=samples, descent_steps=0, net=net)
+        scan = nl.run_trial(inst, None, seed, probes, signs=signs).min_estimate
+        got = nl.run_trial(inst, None, seed, nl.ProbeSpec(samples, steps, net), signs=signs).min_estimate
+        emp = nl.EmpiricalNormInstance(family=inst.family, signs=signs)
+        x, fx = reference_descent_min(inst, emp, scan.direction, scan.value, steps)
+        want = (fx, x, "local-descent") if fx < scan.value else (scan.value, scan.direction, scan.method)
+        assert np.float64(got.value).tobytes() == np.float64(want[0]).tobytes()
+        assert got.direction.tobytes() == want[1].tobytes()
+        assert got.method == want[2]
 
 
 class TestTrialIndependence:

@@ -332,6 +332,8 @@ class TestCli:
             ("net-build", {"theta": float("nan")}, "theta"),
             ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0], [1]]}, "vectors"),
             ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": 0.5}, "t"),
+            ("distortion", {"xi": 0.5, "trials": 1, "probes": {"restarts": 7}}, "probes/restarts"),
+            ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"restarts": 1}}, "probes/restarts"),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -404,6 +406,20 @@ class TestCli:
         assert cfg.threads == 2
         run_experiment(cfg)
         assert (tmp_path / "env_out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "0"])
+    def test_bad_threads_env_is_a_config_error(self, tmp_path, family_file, capsys, monkeypatch, env):
+        monkeypatch.setenv("NORMLAB_THREADS", env)
+        doc = {"family_file": family_file, "xi": 0.5, "trials": 1, "master_seed": 5,
+               "output": {"dir": str(tmp_path / "o")}}
+        with pytest.raises(ConfigError, match="NORMLAB_THREADS") as exc:
+            validate_config(doc, experiment="distortion")
+        assert exc.value.field == "threads"
+        assert validate_config({**doc, "threads": 1}, experiment="distortion").threads == 1
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main(["distortion", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "(field: threads)" in err and "Traceback" not in err
 
     def test_threads_env_fallback_is_not_rejected_without_a_pool(self, tmp_path, family_file, monkeypatch):
         monkeypatch.setenv("NORMLAB_THREADS", "2")

@@ -121,7 +121,8 @@ class TestSerialization:
     def test_inf_tag_is_not_a_float(self):
         doc = nl.space_to_json(nl.lp_space("inf", 2))
         assert doc["p"] == "inf"
-        assert nl.space_from_json(doc).is_sup_norm
+        space = nl.space_from_json(doc)
+        assert space.kind == "lp" and space.p is None
 
     def test_p_must_be_at_least_one(self):
         with pytest.raises(ValueError):

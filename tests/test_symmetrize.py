@@ -258,7 +258,7 @@ class TestExactNorm:
         for i in range(inst.n):
             e = np.zeros(inst.n)
             e[i] = 1.0
-            expected = norm(linf4_family.space, linf4_family.vector(i))
+            expected = norm(linf4_family.space, linf4_family.columns[:, i])
             assert nl.exact_unconditional_norm(inst, e) == pytest.approx(expected, rel=1e-12)
 
     def test_dim1_two_copies(self, dim1_double):

@@ -17,9 +17,10 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   over points, size, candidate_budget and covering_status;
 * ``csv/...``: every CSV and net file of the experiments of the acceptance
   criteria at their fixed seeds, of small distortion runs on every kind of
-  space with a theta = 1/2 net, and of the first batches of the benchmark
-  workloads: two of each, and twenty of ``nets-n4``, whose batches are one
-  build each.
+  space with a theta = 1/2 net, of distortion (l1, l3) and scalar sweeps
+  whose descents run until their steps fall below the floor, and of the
+  first batches of the benchmark workloads: two of each, and twenty of
+  ``nets-n4``, whose batches are one build each.
 
 ``--only exact``, ``--only net`` or ``--only csv`` prints one part, and
 ``--match PREFIX`` only the experiments whose label starts with PREFIX.
@@ -162,6 +163,17 @@ def _configs(tmp: Path):
                                       "master_seed": 7}
         yield f"kinds-{kind}-empirical", {"experiment": "empirical-norm", **fam6, "xi": 2.0,
                                           "count": 300, "master_seed": 8}
+    # descents long enough that their steps fall below DESCENT_STEP_MIN
+    for kind in ("l1", "l3"):
+        yield f"descent-{kind}-distortion", {
+            "experiment": "distortion", "space": nl.space_to_json(_space(kind)),
+            "vectors": _vectors(kind, 4), "xi": 0.5, "trials": 3,
+            "probes": {"samples": 100, "descent_steps": 200}, "master_seed": 9,
+        }
+    yield "descent-scalar", {
+        "experiment": "scalar-sweep", "n": 8, "xi_list": [0.25, 1.0], "trials": 4,
+        "probes": {"samples": 64, "descent_steps": 200, "restarts": 8}, "master_seed": 10,
+    }
     # the benchmark workloads, two batches each and twenty one-build
     # batches of nets-n4
     for name in WORKLOADS:
