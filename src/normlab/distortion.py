@@ -9,8 +9,10 @@ renormalised by the exact norm.  There is no ascent and no restart, so
 the harness rejects ``probes.restarts`` here.  The reported minimum is
 the exact minimum over everything evaluated, hence an upper bound on the
 true minimum over the sphere; the maximum likewise a lower bound on the
-true maximum.  Sweeps over xi aggregate trial quartiles and fit the
-small-xi log-log slope of the median minimum (reported, never asserted).
+true maximum.  A sweep over xi runs its trials through the driver that
+the scalar case shares (``stats.sweep``), then aggregates trial quartiles
+and fits the small-xi log-log slope of the median minimum (reported,
+never asserted); ``run_trials`` is the sweep of one xi.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import NetPoints, certified_sup_bound
-from .seeding import derive_seed, trial_seeds_for_xi
-from .signs import ENUMERATION_CAP, sample_sign_matrix
-from .stats import descend, loglog_slope, quartiles
+from .seeding import derive_seed
+from .signs import ENUMERATION_CAP, SignMatrix, sample_sign_matrix
+from .stats import descend, loglog_slope, quartiles, sweep
 from .symmetrize import (
     EmpiricalNormInstance,
     NormInstance,
@@ -148,7 +150,7 @@ def run_trial(
         if N is None:
             if xi is None:
                 raise ValueError("one of xi, N, or signs is required")
-            N = int(round((1.0 + xi) * n))
+            N = SignMatrix.columns_for_xi(n, xi)
         if N < 1:
             raise ValueError(f"N = round((1+xi) n) must be >= 1, got {N}")
         signs = sample_sign_matrix(n, N, derive_seed(seed, 0), trial_index=None)
@@ -218,31 +220,6 @@ def run_trial(
     )
 
 
-def run_trials(
-    inst: NormInstance,
-    xi: float,
-    trials: int,
-    master_seed: int,
-    probes: ProbeSpec | None = None,
-    *,
-    sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = ENUMERATION_CAP,
-    vertex_cap: int = VERTEX_ENUM_CAP,
-    pool=None,
-) -> list[DistortionReport]:
-    """Independent trials with per-trial derived seeds (order-free)."""
-    seeds = trial_seeds_for_xi(master_seed, xi, trials)
-
-    def one(s: int) -> DistortionReport:
-        return run_trial(
-            inst, xi, s, probes, sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap
-        )
-
-    if pool is None:
-        return [one(s) for s in seeds]
-    return list(pool.map(one, seeds))
-
-
 @dataclass(frozen=True)
 class XiSummary:
     xi: float
@@ -267,23 +244,6 @@ class ConstantsProfile:
     reports_by_xi: dict | None = field(default=None, repr=False, compare=False)
 
 
-def summarize_reports(xi: float, reports: list[DistortionReport]) -> XiSummary:
-    mq1, mmed, mq3 = quartiles([r.min_estimate.value for r in reports])
-    Mq1, Mmed, Mq3 = quartiles([r.max_estimate.value for r in reports])
-    return XiSummary(
-        xi=xi,
-        n=reports[0].n,
-        N=reports[0].N,
-        trials=len(reports),
-        min_q1=mq1,
-        min_median=mmed,
-        min_q3=mq3,
-        max_q1=Mq1,
-        max_median=Mmed,
-        max_q3=Mq3,
-    )
-
-
 def xi_sweep(
     inst: NormInstance,
     xi_list: list[float],
@@ -297,20 +257,44 @@ def xi_sweep(
     pool=None,
 ) -> ConstantsProfile:
     """Trial quartiles of min/max estimates per xi, plus the small-xi slope."""
-    if not xi_list:
-        raise ValueError("xi_list must be nonempty")
-    rows = []
-    by_xi: dict[float, list[DistortionReport]] = {}
-    for xi in xi_list:
-        reports = run_trials(
-            inst, xi, trials, seed, probes,
-            sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap, pool=pool,
+
+    def trial(xi: float, t: int, trial_seed: int) -> DistortionReport:
+        return run_trial(
+            inst, xi, trial_seed, probes, sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap
         )
-        by_xi.setdefault(xi, reports)
-        rows.append(summarize_reports(xi, reports))
+
+    by_xi = sweep(xi_list, trials, seed, trial, pool)
+    rows = []
+    for xi in xi_list:
+        reports = by_xi[xi]
+        rows.append(XiSummary(
+            xi, reports[0].n, reports[0].N, trials,
+            *quartiles([r.min_estimate.value for r in reports]),
+            *quartiles([r.max_estimate.value for r in reports]),
+        ))
     return ConstantsProfile(
         rows=rows,
         # log-log slope of median minimum vs xi over xi < 1 (reported only)
         small_xi_loglog_slope=loglog_slope((r.xi, r.min_median) for r in rows if r.xi < 1.0),
         reports_by_xi=by_xi,
     )
+
+
+def run_trials(
+    inst: NormInstance,
+    xi: float,
+    trials: int,
+    master_seed: int,
+    probes: ProbeSpec | None = None,
+    *,
+    sigma0: float = DEFAULT_SIGMA0,
+    max_n: int = ENUMERATION_CAP,
+    vertex_cap: int = VERTEX_ENUM_CAP,
+    pool=None,
+) -> list[DistortionReport]:
+    """Independent trials with per-trial derived seeds: ``xi_sweep`` at one xi."""
+    profile = xi_sweep(
+        inst, [xi], trials, master_seed, probes,
+        sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap, pool=pool,
+    )
+    return profile.reports_by_xi[xi]

@@ -1,7 +1,8 @@
 """Experiment harness: configuration, dispatch, report and table emission.
 
 Configs are JSON documents validated against the shipped schema plus
-cross-field rules (xi vs N agreement, per-experiment required fields).
+cross-field rules (xi vs N agreement, the fields each experiment requires
+and reads, the family and net files).
 The schema is checked by a small interpreter of the Draft 2020-12
 keywords it uses (see ``_compile``), so no schema library is imported.
 Reports are JSON; plottable tables are CSV with a header row.  Everything
@@ -34,7 +35,7 @@ from . import distortion as dist
 from . import nets, scalar
 from .errors import ConfigError, NormLabError
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP, enumeration_matrix, sample_sign_matrix
+from .signs import ENUMERATION_CAP, SignMatrix, enumeration_matrix, sample_sign_matrix
 from .spaces import VectorFamily, load_family, make_family, space_from_json
 from .symmetrize import (
     EmpiricalNormInstance,
@@ -261,16 +262,25 @@ class ExperimentConfig:
         return int(env) if env else 1
 
 
-_REQUIRED_BY_EXPERIMENT = {
-    "exact-norm": [],
-    "empirical-norm": [],
-    "distortion": ["trials"],
-    "xi-sweep": ["xi_list", "trials"],
-    "scalar-sweep": ["n", "xi_list", "trials"],
-    "concentration": ["x"],
-    "net-build": ["theta"],
+_FAMILY = ("space", "vectors", "random_vectors", "family_file")
+_TRIAL_PROBES = ("probes", "probes/samples", "probes/descent_steps", "probes/net_file")
+# experiment: (the fields it requires, the other fields it reads on some
+# path), besides experiment, master_seed, output and threads, which every
+# experiment reads; "probes/x" is the field x of probes.  A field that no
+# path of an experiment reads is rejected, and an experiment that reads
+# the family fields needs a family.
+_READS = {
+    "exact-norm": ((), (*_FAMILY, "points", "count", "caps")),
+    "empirical-norm": ((), (*_FAMILY, "xi", "N", "enumerate", "points", "count", "caps")),
+    "distortion": (("trials",), (*_FAMILY, "xi", "N", *_TRIAL_PROBES, "theta", "sigma0", "caps")),
+    "xi-sweep": (("xi_list", "trials"), (*_FAMILY, *_TRIAL_PROBES, "theta", "sigma0", "caps")),
+    "scalar-sweep": (
+        ("n", "xi_list", "trials"),
+        ("probes", "probes/samples", "probes/descent_steps", "probes/restarts", "tau"),
+    ),
+    "concentration": (("x",), (*_FAMILY, "t_grid", "N_list", "t", "trials", "caps")),
+    "net-build": (("theta",), (*_FAMILY, "budget", "caps")),
 }
-_FAMILY_FREE = {"scalar-sweep"}
 # experiments that map their trials over a pool of ``threads`` workers
 _POOLED = {"distortion", "xi-sweep", "scalar-sweep"}
 
@@ -334,12 +344,18 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             f"in a pool; only {', '.join(sorted(_POOLED))} accept threads > 1"
         )
         raise ConfigError(msg, field="threads", path=path)
-    for fld in _REQUIRED_BY_EXPERIMENT[exp]:
+    required, optional = _READS[exp]
+    for fld in required:
         if fld not in doc:
             raise ConfigError(
                 f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path
             )
-    if exp not in _FAMILY_FREE:
+    reads = {"experiment", "master_seed", "output", "threads", *required, *optional}
+    for fld in (*doc, *(f"probes/{k}" for k in doc.get("probes", ()))):
+        if fld not in reads:
+            msg = f"config field '{fld}' has no effect: experiment '{exp}' does not read it"
+            raise ConfigError(msg, field=fld, path=path)
+    if "family_file" in optional:
         has_family = ("space" in doc and ("vectors" in doc or "random_vectors" in doc)) or (
             "family_file" in doc
         )
@@ -350,34 +366,32 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
                 field="space",
                 path=path,
             )
-        if "family_file" in doc and not Path(doc["family_file"]).exists():
-            raise ConfigError(
-                f"family_file does not exist: {doc['family_file']}",
-                field="family_file",
-                path=path,
-            )
     net_file = doc.get("probes", {}).get("net_file")
-    if net_file and not Path(net_file).exists():
-        raise ConfigError(f"net_file does not exist: {net_file}", field="probes/net_file", path=path)
     if exp in ("distortion", "xi-sweep") and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
-    if exp in ("distortion", "xi-sweep") and "restarts" in doc.get("probes", {}):
-        msg = f"config field 'probes/restarts' has no effect on '{exp}': it descends from one start"
-        raise ConfigError(msg, field="probes/restarts", path=path)
     if exp == "net-build" and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
         msg = f"config field 'theta' is invalid: {doc['theta']!r} is not finite"
         raise ConfigError(msg, field="theta", path=path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
-    n = doc["n"] if exp in _FAMILY_FREE else resolve_family(cfg).n
+    n = resolve_family(cfg).n if "family_file" in optional else doc["n"]
     for fld in ("xi", "xi_list"):
         for xi in np.ravel(doc.get(fld, [])):
             if not math.isfinite(xi):  # NaN passes the schema's bounds
                 msg = f"config field '{fld}' is invalid: {float(xi)!r} is not finite"
                 raise ConfigError(msg, field=fld, path=path)
-            if round((1.0 + float(xi)) * n) < 1:
+            if SignMatrix.columns_for_xi(n, float(xi)) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
+    if net_file:
+        try:
+            points = nets.load_net(net_file).points
+        except (OSError, ValueError, TypeError, KeyError) as exc:  # missing, not JSON, or not a net
+            msg = f"net_file {net_file} is not a readable net: {type(exc).__name__}: {exc}"
+            raise ConfigError(msg, field="probes/net_file", path=path) from exc
+        if points.ndim != 2 or points.shape[1] != n:
+            msg = f"net_file {net_file} has points of shape {points.shape}, expected rows of length n = {n}"
+            raise ConfigError(msg, field="probes/net_file", path=path)
     if exp == "concentration" and len(doc["x"]) != n:
         msg = f"config field 'x' has length {len(doc['x'])}, expected n = {n}"
         raise ConfigError(msg, field="x", path=path)
@@ -390,7 +404,7 @@ def resolve_family(cfg: ExperimentConfig) -> VectorFamily:
     if "family_file" in doc:
         try:
             return load_family(doc["family_file"])
-        except (ValueError, KeyError, NormLabError) as exc:
+        except (OSError, ValueError, KeyError, NormLabError) as exc:  # OSError: missing, or a directory
             raise ConfigError(f"invalid family_file: {exc}", field="family_file", path=cfg.path)
     try:
         space = space_from_json(doc["space"])
@@ -418,7 +432,7 @@ def resolve_N(doc: dict, n: int, *, path=None) -> tuple[int, float]:
     if xi is None and N is None:
         raise ConfigError("one of 'xi' or 'N' is required", field="xi", path=path)
     if xi is not None:
-        implied = int(round((1.0 + xi) * n))
+        implied = SignMatrix.columns_for_xi(n, xi)
         if N is not None and N != implied:
             raise ConfigError(
                 f"'N' = {N} and 'xi' = {xi} disagree: round((1+xi) n) = {implied}",
@@ -500,72 +514,30 @@ class RunReport:
         }
 
 
-def _trial_row(xi_tag, t: int, r: dist.DistortionReport) -> list:
-    return [
-        xi_tag,
-        t,
-        r.trial_seed,
-        r.n,
-        r.N,
-        r.xi,
-        r.min_estimate.value,
-        r.min_estimate.method,
-        r.max_estimate.value,
-        r.max_estimate.method,
-        r.probe_min,
-        r.certified_upper,
-        r.covering_status,
-        r.samples_used,
-        r.uv.sigma0,
-        r.uv.count_U,
-        r.uv.count_V,
-        r.uv.min_U,
-        r.uv.min_V,
-        r.min_estimate.direction,
-        r.max_estimate.direction,
-    ]
-
-
-_TRIAL_HEADER = [
-    "xi_requested",
-    "trial",
-    "seed",
-    "n",
-    "N",
-    "xi",
-    "min_estimate",
-    "min_method",
-    "max_estimate",
-    "max_method",
-    "probe_min",
-    "certified_upper",
-    "covering_status",
-    "samples_used",
-    "sigma0",
-    "count_U",
-    "count_V",
-    "min_U",
-    "min_V",
-    "argmin",
-    "argmax",
-]
-
-
-def _probe_spec(cfg: ExperimentConfig) -> dist.ProbeSpec:
-    p = cfg.raw.get("probes", {})
-    net = nets.load_net(p["net_file"]) if p.get("net_file") else None
-    return dist.ProbeSpec(
-        samples=p.get("samples", 2000),
-        descent_steps=p.get("descent_steps", 50),
-        net=net,
-    )
-
-
-def _sigma0(cfg: ExperimentConfig) -> float:
-    if "sigma0" in cfg.raw:
-        return cfg.raw["sigma0"]
-    theta = cfg.raw.get("theta", dist.DEFAULT_THETA)
-    return math.sqrt(2.0) * theta
+# the columns of the trials.csv of distortion and xi-sweep after
+# xi_requested and trial: each is an attribute of the trial's report
+_TRIAL_COLUMNS = {
+    "seed": "trial_seed",
+    "n": "n",
+    "N": "N",
+    "xi": "xi",
+    "min_estimate": "min_estimate.value",
+    "min_method": "min_estimate.method",
+    "max_estimate": "max_estimate.value",
+    "max_method": "max_estimate.method",
+    "probe_min": "probe_min",
+    "certified_upper": "certified_upper",
+    "covering_status": "covering_status",
+    "samples_used": "samples_used",
+    "sigma0": "uv.sigma0",
+    "count_U": "uv.count_U",
+    "count_V": "uv.count_V",
+    "min_U": "uv.min_U",
+    "min_V": "uv.min_V",
+    "argmin": "min_estimate.direction",
+    "argmax": "max_estimate.direction",
+}
+_trial_columns = operator.attrgetter(*_TRIAL_COLUMNS.values())
 
 
 def _resolve_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
@@ -632,115 +604,80 @@ def _pool(cfg: ExperimentConfig):
         yield pool
 
 
-def _run_distortion(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
-    inst = NormInstance(family=family)
-    N, xi = resolve_N(cfg.raw, inst.n, path=cfg.path)
-    probes = _probe_spec(cfg)
-    trials = cfg.raw["trials"]
-    with _pool(cfg) as pool:
-        reports = dist.run_trials(
-            inst,
-            xi,
-            trials,
-            cfg.master_seed,
-            probes,
-            sigma0=_sigma0(cfg),
-            max_n=cfg.caps["max_enum_n"],
-            vertex_cap=cfg.caps["max_dual_vertices_m"],
-            pool=pool,
-        )
-    rows = [_trial_row(xi, t, r) for t, r in enumerate(reports)]
-    summary = dist.summarize_reports(xi, reports)
-    results = {
-        "summary": summary.__dict__,
-        "uv_tentative_trials": sum(r.uv.tentative for r in reports),
-    }
-    return results, {"trials_csv": Table("trials.csv", _TRIAL_HEADER, rows)}
+def _aggregate(rows) -> Table:
+    """aggregate.csv: the fields of a sweep's summary rows, a flag as 0 or 1."""
+    values = [[int(v) if isinstance(v, bool) else v for v in vars(r).values()] for r in rows]
+    return Table("aggregate.csv", list(vars(rows[0])), values)
 
 
 def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
-    inst = NormInstance(family=family)
-    probes = _probe_spec(cfg)
+    """``xi-sweep``, and ``distortion`` as the sweep of its one resolved xi."""
+    inst = NormInstance(family=resolve_family(cfg))
+    if cfg.experiment == "distortion":
+        # the xi of N = round((1+xi) n), whose bits the trial seeds derive from
+        xi_list = [resolve_N(cfg.raw, inst.n, path=cfg.path)[1]]
+    else:
+        xi_list = cfg.raw["xi_list"]
+    p = cfg.raw.get("probes", {})
+    probes = dist.ProbeSpec(
+        **{k: p[k] for k in ("samples", "descent_steps") if k in p},
+        net=nets.load_net(p["net_file"]) if p.get("net_file") else None,
+    )
+    # sigma0 = sqrt(2) theta unless given
+    sigma0 = cfg.raw.get("sigma0", math.sqrt(2.0) * cfg.raw.get("theta", dist.DEFAULT_THETA))
     with _pool(cfg) as pool:
         profile = dist.xi_sweep(
             inst,
-            cfg.raw["xi_list"],
+            xi_list,
             cfg.raw["trials"],
             cfg.master_seed,
             probes,
-            sigma0=_sigma0(cfg),
+            sigma0=sigma0,
             max_n=cfg.caps["max_enum_n"],
             vertex_cap=cfg.caps["max_dual_vertices_m"],
             pool=pool,
         )
-    trial_rows = []
-    for xi in cfg.raw["xi_list"]:
-        for t, r in enumerate(profile.reports_by_xi[xi]):
-            trial_rows.append(_trial_row(xi, t, r))
-    agg_rows = [
-        [
-            r.xi, r.n, r.N, r.trials,
-            r.min_q1, r.min_median, r.min_q3,
-            r.max_q1, r.max_median, r.max_q3,
-        ]
-        for r in profile.rows
-    ]
-    agg_header = ["xi", "n", "N", "trials", "min_q1", "min_median", "min_q3",
-                  "max_q1", "max_median", "max_q3"]
+    by_xi = profile.reports_by_xi
+    trial_rows = [[xi, t, *_trial_columns(r)] for xi in xi_list for t, r in enumerate(by_xi[xi])]
+    tables = {"trials_csv": Table("trials.csv", ["xi_requested", "trial", *_TRIAL_COLUMNS], trial_rows)}
+    tentative = sum(r.uv.tentative for reports in by_xi.values() for r in reports)
+    if cfg.experiment == "distortion":
+        return {"summary": vars(profile.rows[0]), "uv_tentative_trials": tentative}, tables
     results = {
         "small_xi_loglog_slope": profile.small_xi_loglog_slope,
         "note": profile.note,
-        "rows": [r.__dict__ for r in profile.rows],
-        "uv_tentative_trials": sum(
-            r.uv.tentative for reports in profile.reports_by_xi.values() for r in reports
-        ),
+        "rows": [vars(r) for r in profile.rows],
+        "uv_tentative_trials": tentative,
     }
-    return results, {
-        "trials_csv": Table("trials.csv", _TRIAL_HEADER, trial_rows),
-        "aggregate_csv": Table("aggregate.csv", agg_header, agg_rows),
-    }
+    return results, {**tables, "aggregate_csv": _aggregate(profile.rows)}
 
 
 def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    p = cfg.raw.get("probes", {})
+    # the config's probes/samples is the sweep's probes
+    p = {"probes" if k == "samples" else k: v for k, v in cfg.raw.get("probes", {}).items()}
     with _pool(cfg) as pool:
         result = scalar.scalar_xi_sweep(
             cfg.raw["n"],
             cfg.raw["xi_list"],
             cfg.raw["trials"],
             cfg.master_seed,
-            probes=p.get("samples", 128),
-            descent_steps=p.get("descent_steps", 40),
-            restarts=p.get("restarts", 2),
             tau=cfg.raw.get("tau"),
             pool=pool,
+            **p,
         )
-    trial_rows = []
-    for xi in cfg.raw["xi_list"]:
-        for t, r in enumerate(result.reports_by_xi[xi]):
-            trial_rows.append([r.xi, r.n, r.N, t, r.kappa_min, r.kappa_max, r.kappa_max_certificate])
-    agg_rows = [
-        [
-            r.xi, r.n, r.N, r.trials, int(r.outside_stated_range),
-            r.kmin_q1, r.kmin_median, r.kmin_q3,
-            r.kmax_q1, r.kmax_median, r.kmax_q3,
-            r.freq_below_tau,
-        ]
-        for r in result.rows
+    trial_rows = [
+        [r.xi, r.n, r.N, t, r.kappa_min, r.kappa_max, r.kappa_max_certificate]
+        for xi in cfg.raw["xi_list"]
+        for t, r in enumerate(result.reports_by_xi[xi])
     ]
-    agg_header = ["xi", "n", "N", "trials", "outside_stated_range",
-                  "kmin_q1", "kmin_median", "kmin_q3",
-                  "kmax_q1", "kmax_median", "kmax_q3", "freq_below_tau"]
     trials_header = ["xi", "n", "N", "trial", "kappa_min", "kappa_max", "certificate"]
     results = {
         "small_xi_loglog_slope": result.small_xi_loglog_slope,
-        "rows": [r.__dict__ for r in result.rows],
+        "rows": [vars(r) for r in result.rows],
     }
     return results, {
         "trials_csv": Table("trials.csv", trials_header, trial_rows),
-        "aggregate_csv": Table("aggregate.csv", agg_header, agg_rows),
+        "aggregate_csv": _aggregate(result.rows),
     }
 
 
@@ -818,7 +755,7 @@ def _run_net_build(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 _RUNNERS = {
     "exact-norm": _run_exact_norm,
     "empirical-norm": _run_empirical_norm,
-    "distortion": _run_distortion,
+    "distortion": _run_xi_sweep,
     "xi-sweep": _run_xi_sweep,
     "scalar-sweep": _run_scalar_sweep,
     "concentration": _run_concentration,

@@ -8,10 +8,11 @@ In general the extremes are estimated by probes plus projected
 subgradient descent: the ``restarts`` lowest probes descend and the
 ``restarts`` highest ascend, all as one stack moved in lockstep by the
 engine that distortion shares (``stats.descend``), each start with its
-own step size and its own stop.  At n = 2 the circle decomposes
-into finitely many sign-pattern cones on which rho_A is linear, so an
-exact pass over cone boundaries and interior stationary directions pins
-the extremes.
+own step size and its own stop.  A sweep over xi runs its trials through
+the driver that distortion shares too (``stats.sweep``).  At n = 2 the
+circle decomposes into finitely many sign-pattern cones on which rho_A
+is linear, so an exact pass over cone boundaries and interior stationary
+directions pins the extremes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import derive_seed, trial_seeds_for_xi
+from .seeding import derive_seed
 from .signs import SignMatrix, sample_sign_matrix
-from .stats import descend, loglog_slope, quartiles
+from .stats import descend, loglog_slope, quartiles, sweep
 from .weakvar import largest_singular_value
 
 
@@ -219,51 +220,35 @@ def scalar_xi_sweep(
 
     xi > 1 rows are flagged as extrapolation beyond the stated range of the
     scalar bound.  The log-log slope of median kappa_min vs xi over xi <= 1
-    is reported against the conjectured xi^2 shape, never asserted.  Trial
-    seeds derive from (seed, xi, trial index), so a ``pool`` that maps the
-    trials gives the same results as running them in order.
+    is reported against the conjectured xi^2 shape, never asserted.  The
+    trials run through the driver that distortion shares (``stats.sweep``),
+    so a ``pool`` that maps them gives the same results as running them in
+    order.
     """
-    if not xi_list:
-        raise ValueError("xi_list must be nonempty")
-    rows = []
-    by_xi: dict[float, list[ScalarTrialReport]] = {}
-    for xi in xi_list:
-        N = int(round((1.0 + xi) * n))
 
-        def one(t: int, ts: int) -> ScalarTrialReport:
-            A = sample_sign_matrix(n, N, derive_seed(ts, 0), trial_index=t)
-            return scalar_min_max(
-                A,
-                probes=probes,
-                seed=derive_seed(ts, 1),
-                descent_steps=descent_steps,
-                restarts=restarts,
-            )
-
-        seeds = trial_seeds_for_xi(seed, xi, trials)
-        mapper = map if pool is None else pool.map
-        reports = list(mapper(one, range(trials), seeds))
-        by_xi.setdefault(xi, reports)
-        kmin = np.array([r.kappa_min for r in reports])
-        kq1, kmed, kq3 = quartiles(kmin)
-        Kq1, Kmed, Kq3 = quartiles([r.kappa_max for r in reports])
-        rows.append(
-            ScalarXiSummary(
-                xi=xi,
-                n=n,
-                N=N,
-                trials=trials,
-                outside_stated_range=xi > 1.0,
-                kmin_q1=kq1,
-                kmin_median=kmed,
-                kmin_q3=kq3,
-                kmax_q1=Kq1,
-                kmax_median=Kmed,
-                kmax_q3=Kq3,
-                freq_below_tau=(
-                    float((kmin <= tau).mean()) if tau is not None else None
-                ),
-            )
+    def trial(xi: float, t: int, trial_seed: int) -> ScalarTrialReport:
+        A = sample_sign_matrix(
+            n, SignMatrix.columns_for_xi(n, xi), derive_seed(trial_seed, 0), trial_index=t
         )
+        return scalar_min_max(
+            A,
+            probes=probes,
+            seed=derive_seed(trial_seed, 1),
+            descent_steps=descent_steps,
+            restarts=restarts,
+        )
+
+    by_xi = sweep(xi_list, trials, seed, trial, pool)
+    rows = []
+    for xi in xi_list:
+        reports = by_xi[xi]
+        kmin = np.array([r.kappa_min for r in reports])
+        rows.append(ScalarXiSummary(
+            xi, n, reports[0].N, trials,
+            xi > 1.0,
+            *quartiles(kmin),
+            *quartiles([r.kappa_max for r in reports]),
+            float((kmin <= tau).mean()) if tau is not None else None,
+        ))
     slope = loglog_slope((r.xi, r.kmin_median) for r in rows if r.xi <= 1.0)
     return ScalarSweepResult(rows=rows, small_xi_loglog_slope=slope, reports_by_xi=by_xi)

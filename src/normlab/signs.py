@@ -71,6 +71,11 @@ class SignMatrix:
         """Oversampling ratio N/n - 1."""
         return self.N / self.n - 1.0
 
+    @staticmethod
+    def columns_for_xi(n: int, xi: float) -> int:
+        """N = round((1+xi) n): the columns of an n-row matrix at oversampling ratio xi."""
+        return int(round((1.0 + xi) * n))
+
     def __eq__(self, other):
         if not isinstance(other, SignMatrix):
             return NotImplemented

@@ -1,11 +1,33 @@
-"""Code shared by the xi sweeps: the descent engine, quartiles and the log-log slope."""
+"""Code shared by the xi sweeps: the sweep driver, the descent engine,
+quartiles and the log-log slope."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .seeding import trial_seeds_for_xi
+
 DESCENT_STEP0 = 0.1
 DESCENT_STEP_MIN = 1e-6
+
+
+def sweep(xi_list, trials: int, seed: int, trial, pool=None) -> dict:
+    """The reports ``trial(xi, t, trial_seed)`` for t < trials, by xi of ``xi_list``.
+
+    The one place where trial seeds are derived and trials mapped over a
+    ``pool``.  A trial seed is a function of (seed, xi, t) alone, so a
+    repeated xi runs once, and a pool gives the reports of running the
+    trials in turn, in the same order.
+    """
+    if not xi_list:
+        raise ValueError("xi_list must be nonempty")
+    mapper = map if pool is None else pool.map
+    by_xi = {}
+    for xi in xi_list:
+        if xi not in by_xi:
+            seeds = trial_seeds_for_xi(seed, xi, trials)
+            by_xi[xi] = list(mapper(trial, [xi] * trials, range(trials), seeds))
+    return by_xi
 
 
 def descend(Y0, F0, S0, steps: int, sign, *, subgradient, norm, evaluate):

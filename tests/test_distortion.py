@@ -207,7 +207,7 @@ class TestTrialIndependence:
         p = nl.ProbeSpec(samples=60, descent_steps=5)
         reports = nl.run_trials(inst, 0.5, 4, master_seed=99, probes=p)
         # rerunning any single trial in isolation reproduces it bit for bit
-        seeds = nl.distortion.trial_seeds_for_xi(99, 0.5, 4)
+        seeds = nl.seeding.trial_seeds_for_xi(99, 0.5, 4)
         lone = nl.run_trial(inst, 0.5, seeds[2], probes=p)
         assert lone.min_estimate.value == reports[2].min_estimate.value
         assert np.array_equal(lone.min_estimate.direction, reports[2].min_estimate.direction)

@@ -37,6 +37,44 @@ def fresh_python(code: str, *args: str) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+# net files that are not JSON, not a net, or a net of n = 3, by name
+NET_N3 = {"theta": 0.5, "points": [[1.0, 0.0, 0.0]], "separation_certified": True,
+          "covering_status": "heuristic", "candidate_budget": 1}
+BAD_NET_FILES = {
+    "not-json.json": "{not json",
+    "list.json": "[1, 2]",
+    "not-a-net.json": json.dumps({"theta": 0.5}),
+    "net-n3.json": json.dumps(NET_N3),
+}
+
+# a value of each field that the schema accepts
+FIELD_VALUES = {
+    "tau": 0.1, "xi": 0.5, "xi_list": [0.5], "N": 3, "n": 3, "budget": 3, "count": 2,
+    "x": [1.0], "t": 1.0, "N_list": [2], "enumerate": True, "points": [[1.0]], "sigma0": 0.5,
+    "theta": 0.5, "space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1.0, 0.0]],
+}
+# experiment: (a valid config's own fields, fields that no path of it reads)
+UNREAD = {
+    "exact-norm": ({}, ["xi"]),
+    "empirical-norm": ({"xi": 0.5}, ["theta"]),
+    "distortion": (
+        {"xi": 0.5, "trials": 1},
+        ["tau", "xi_list", "budget", "count", "n", "x", "t", "N_list", "enumerate", "points"],
+    ),
+    "xi-sweep": (
+        {"xi_list": [0.5], "trials": 1},
+        ["tau", "xi", "N", "budget", "count", "n", "x", "t", "N_list", "enumerate", "points"],
+    ),
+    "scalar-sweep": (
+        {"n": 3, "xi_list": [0.5], "trials": 1, "probes": {"samples": 4}},
+        ["xi", "N", "sigma0", "theta", "budget", "count", "x", "t", "N_list", "enumerate",
+         "points", "space", "vectors", "probes/net_file"],
+    ),
+    "concentration": ({"x": [1.0] * 6}, ["budget"]),
+    "net-build": ({"theta": 0.5}, ["count"]),
+}
+
+
 def base_config(tmp_path, family_file, **extra):
     doc = {
         "family_file": family_file,
@@ -161,6 +199,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             validate_config(doc, experiment="distortion")
         assert exc.value.field == "family_file"
+        # a directory is no family file either
+        with pytest.raises(ConfigError) as exc:
+            validate_config({**doc, "family_file": str(tmp_path)}, experiment="distortion")
+        assert exc.value.field == "family_file"
+
+    @pytest.mark.parametrize(
+        "experiment, field", [(e, f) for e, (_, fields) in UNREAD.items() for f in fields]
+    )
+    def test_a_field_that_no_path_reads_is_a_config_error(
+        self, tmp_path, family_file, capsys, experiment, field
+    ):
+        own, _ = UNREAD[experiment]
+        doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **own}
+        if experiment != "scalar-sweep":
+            doc["family_file"] = family_file
+        validate_config(doc, experiment=experiment)
+        if field == "probes/net_file":
+            nl.save_net(nl.NetPoints(0.5, np.eye(3)[:1], True, "heuristic", 1), tmp_path / "net.json")
+            doc["probes"] = {**doc["probes"], "net_file": str(tmp_path / "net.json")}
+        else:
+            doc[field] = FIELD_VALUES[field]
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main([experiment, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "Traceback" not in err
 
     def test_xi_N_agreement(self):
         assert resolve_N({"xi": 0.5}, 8) == (12, 0.5)
@@ -227,6 +290,30 @@ class TestRunners:
         agg = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 3  # header + 2 xi rows
         assert "small_xi_loglog_slope" in rep.results
+
+    def test_distortion_is_the_sweep_of_its_resolved_xi(self, tmp_path, rng):
+        fam = nl.make_family(nl.lp_space("inf", 3), rng.standard_normal((12, 3)))
+        nl.save_family(fam, tmp_path / "n12.json")
+        doc = base_config(tmp_path, str(tmp_path / "n12.json"), trials=3,
+                          probes={"samples": 20, "descent_steps": 2})
+        # xi = 0.1 at n = 12 gives N = 13, and the run sweeps 13/12 - 1
+        one = run_experiment(validate_config(dict(doc, xi=0.1), experiment="distortion"))
+        sweep_doc = dict(doc, xi_list=[13 / 12 - 1], output={"dir": str(tmp_path / "sweep")})
+        sweep = run_experiment(validate_config(sweep_doc, experiment="xi-sweep"))
+        trials = (tmp_path / "out" / "trials.csv").read_bytes()
+        assert trials == (tmp_path / "sweep" / "trials.csv").read_bytes()
+        assert one.results["summary"] == sweep.results["rows"][0]
+
+    def test_xi_sweep_threads_give_the_same_bytes(self, tmp_path, family_file):
+        tables = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            doc = base_config(tmp_path, family_file, experiment="xi-sweep", xi_list=[0.5, 1.0, 0.5],
+                              trials=4, probes={"samples": 20, "descent_steps": 3}, threads=threads,
+                              output={"dir": str(out), "formats": ["csv"]})
+            run_experiment(validate_config(doc))
+            tables.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
+        assert tables[0] == tables[1]
 
     def test_scalar_sweep(self, tmp_path):
         doc = {
@@ -334,11 +421,23 @@ class TestCli:
             ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": 0.5}, "t"),
             ("distortion", {"xi": 0.5, "trials": 1, "probes": {"restarts": 7}}, "probes/restarts"),
             ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"restarts": 1}}, "probes/restarts"),
+            ("distortion", {"xi": 0.5, "trials": 1, "probes": {"net_file": "not-json.json"}}, "probes/net_file"),
+            ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"net_file": "list.json"}}, "probes/net_file"),
+            ("distortion", {"xi": 0.5, "trials": 1, "probes": {"net_file": "not-a-net.json"}}, "probes/net_file"),
+            (
+                "xi-sweep",
+                {"space": {"kind": "lp", "p": "inf", "dim": 2}, "xi_list": [0.5], "trials": 1,
+                 "probes": {"net_file": "net-n3.json"}},
+                "probes/net_file",
+            ),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
-        self, tmp_path, family_file, capsys, experiment, extra, field
+        self, tmp_path, family_file, capsys, monkeypatch, experiment, extra, field
     ):
+        for name, text in BAD_NET_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
         if "space" in doc:
             doc["random_vectors"] = {"n": 4}

@@ -15,11 +15,14 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   n = 1..5, theta 0.5, 0.6 and 1.0, budget None, 1, 2 and 30; polytope
   families at n = 4 and 5, the same thetas, budget None and 30), hashed
   over points, size, candidate_budget and covering_status;
-* ``csv/...``: every CSV and net file of the experiments of the acceptance
-  criteria at their fixed seeds, of small distortion runs on every kind of
-  space with a theta = 1/2 net, of distortion (l1, l3) and scalar sweeps
-  whose descents run until their steps fall below the floor, and of the
-  first batches of the benchmark workloads: two of each, and twenty of
+* ``csv/...``: every CSV and net file, and the ``results`` block of the
+  report (``csv/<label>/results``, its JSON with sorted keys), of the
+  experiments of the acceptance criteria at their fixed seeds, of small
+  distortion runs on every kind of space with a theta = 1/2 net, of
+  distortion (l1, l3) and scalar sweeps whose descents run until their
+  steps fall below the floor, of distortion at an xi that N = round((1+xi) n)
+  moves and at an N alone, of sweeps that repeat an xi, and of the first
+  batches of the benchmark workloads: two of each, and twenty of
   ``nets-n4``, whose batches are one build each.
 
 ``--only exact``, ``--only net`` or ``--only csv`` prints one part, and
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -174,6 +178,23 @@ def _configs(tmp: Path):
         "experiment": "scalar-sweep", "n": 8, "xi_list": [0.25, 1.0], "trials": 4,
         "probes": {"samples": 64, "descent_steps": 200, "restarts": 8}, "master_seed": 10,
     }
+    # distortion sweeps its resolved xi: at n = 12, xi = 0.1 gives N = 13 and
+    # runs at 13/12 - 1; and at an N with no xi
+    for tag, size in (("xi", {"xi": 0.1}), ("N", {"N": 13})):
+        yield f"resolved-{tag}-distortion", {
+            "experiment": "distortion", "space": linf4, "vectors": _linf4(1212, 12), **size,
+            "trials": 3, "probes": {"samples": 100, "descent_steps": 10}, "master_seed": 11,
+        }
+    # sweeps with a repeated xi
+    yield "repeat-xi-sweep", {
+        "experiment": "xi-sweep", "space": linf4, "vectors": _linf4(1313, 6),
+        "xi_list": [0.5, 1.0, 0.5], "trials": 3, "probes": {"samples": 60, "descent_steps": 5},
+        "master_seed": 12,
+    }
+    yield "repeat-scalar", {
+        "experiment": "scalar-sweep", "n": 6, "xi_list": [1.0, 0.5, 1.0], "trials": 4,
+        "probes": {"samples": 32, "descent_steps": 10}, "tau": 0.7, "master_seed": 13,
+    }
     # the benchmark workloads, two batches each and twenty one-build
     # batches of nets-n4
     for name in WORKLOADS:
@@ -189,9 +210,11 @@ def csv_digests(match: str = ""):
                 continue
             out = tmp / label
             doc["output"] = {"dir": str(out), "formats": ["csv"]}
-            run_experiment(validate_config(doc))
+            report = run_experiment(validate_config(doc))
             for path in sorted(out.glob("*")):
                 yield f"csv/{label}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest()
+            results = json.dumps(report.to_json()["results"], sort_keys=True).encode()
+            yield f"csv/{label}/results", hashlib.sha256(results).hexdigest()
 
 
 def main(argv=None) -> int:
