@@ -28,7 +28,7 @@ from .symmetrize import (
     exact_unconditional_norm,
     iter_exact_value_blocks,
 )
-from .weakvar import SigmaResult, sigma
+from .weakvar import VERTEX_ENUM_CAP, SigmaResult, sigma
 
 ATOM_MERGE_TOL = 1e-12
 
@@ -55,13 +55,17 @@ class ExactDistribution:
 
 
 def exact_distribution(
-    family: VectorFamily, x, max_n: int = ENUMERATION_CAP
+    family: VectorFamily,
+    x,
+    max_n: int = ENUMERATION_CAP,
+    vertex_cap: int = VERTEX_ENUM_CAP,
 ) -> ExactDistribution:
     """Enumerate the 2^n values, merge equal atoms, compute E/Med/Var/sigma.
 
     Atoms within ATOM_MERGE_TOL (absolute) are aggregated.  The median is
     the lower median: the smallest atom v with P(X <= v) >= 1/2 and
-    P(X >= v) >= 1/2.
+    P(X >= v) >= 1/2.  sigma is exact or a CapacityError: an l1 space
+    wider than ``vertex_cap`` is refused.
     """
     x = np.asarray(x, dtype=np.float64)
     vals = np.sort(
@@ -86,7 +90,7 @@ def exact_distribution(
         expectation=expectation,
         median=median,
         variance=variance,
-        sigma=sigma(family, x),
+        sigma=sigma(family, x, vertex_cap=vertex_cap),
         n=family.n,
     )
 

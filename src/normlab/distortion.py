@@ -24,6 +24,7 @@ import numpy as np
 from .nets import NetPoints, certified_sup_bound
 from .seeding import derive_seed
 from .signs import ENUMERATION_CAP, SignMatrix, sample_sign_matrix
+from .spaces import norming_functionals
 from .stats import descend, loglog_slope, quartiles, sweep
 from .symmetrize import (
     EmpiricalNormInstance,
@@ -32,7 +33,7 @@ from .symmetrize import (
     batch_empirical_norm,
     exact_unconditional_norm_many,
 )
-from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, sigma
+from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, weak_variances
 
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
@@ -99,28 +100,13 @@ def sphere_sample(
     return g / norms[:, None]
 
 
-def _sigma_values(
-    inst: NormInstance, X: np.ndarray, vertex_cap: int
-) -> tuple[np.ndarray, bool]:
-    vals = inst.kernel.weak_variances(X)
-    if vals is not None:
-        return vals, False
-    vals = np.empty(X.shape[0])
-    tentative = False
-    for i, x in enumerate(X):
-        sr = sigma(inst.family, x, vertex_cap=vertex_cap, lower_bound_beyond_cap=True)
-        vals[i] = sr.value
-        tentative = tentative or sr.lower_bound_only
-    return vals, tentative
-
-
 def _empirical_subgradients(kernel: NormKernel, E: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Subgradients of x -> (1/N) sum_j ||sum_i eps_ij x_i v_i||, one per row of X."""
     V = kernel.columns
     G = np.empty_like(X)
     for i, x in enumerate(X):
         U = (V * x[None, :]) @ E  # (m, N) column sums
-        P = V.T @ kernel.norming_functionals(U)  # (n, N): <phi_j, v_i>
+        P = V.T @ norming_functionals(kernel.space, U)  # (n, N): <phi_j, v_i>
         G[i] = (E * P).mean(axis=1)
     return G
 
@@ -195,7 +181,9 @@ def run_trial(
         certified = bound.value
         covering = bound.covering_status
 
-    svals, tentative = _sigma_values(inst, X, vertex_cap)
+    svals, _, lower_bound_only, _ = weak_variances(
+        inst.kernel, X, vertex_cap=vertex_cap, lower_bound_beyond_cap=True
+    )
     in_U = svals >= sigma0
     uv = UVStats(
         sigma0=float(sigma0),
@@ -203,7 +191,7 @@ def run_trial(
         count_V=int((~in_U).sum()),
         min_U=float(vals[in_U].min()) if in_U.any() else None,
         min_V=float(vals[~in_U].min()) if (~in_U).any() else None,
-        tentative=tentative,
+        tentative=bool(lower_bound_only.any()),
     )
     return DistortionReport(
         trial_seed=seed,

@@ -383,6 +383,8 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             if SignMatrix.columns_for_xi(n, float(xi)) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
+    if exp == "distortion" or (exp == "empirical-norm" and not doc.get("enumerate")):
+        resolve_N(doc, n, path=path)  # one of xi and N, in agreement
     if net_file:
         try:
             points = nets.load_net(net_file).points
@@ -685,7 +687,7 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     family = resolve_family(cfg)
     x = np.asarray(cfg.raw["x"], dtype=np.float64)
     max_n = cfg.caps["max_enum_n"]
-    d = conc.exact_distribution(family, x, max_n=max_n)
+    d = conc.exact_distribution(family, x, max_n=max_n, vertex_cap=cfg.caps["max_dual_vertices_m"])
     fit = conc.tail_check(d, cfg.raw.get("t_grid")) if d.sigma.value > 0 else None
     outputs = {}
     if fit is not None:

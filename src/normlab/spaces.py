@@ -111,30 +111,46 @@ def norm_rows(space: NormSpec, U: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, out, 0.0)
 
 
-def norming_functional(space: NormSpec, u) -> np.ndarray:
-    """A functional phi with ||phi||* <= 1 and <phi, u> = ||u|| (u != 0).
+def norming_functionals(space: NormSpec, U) -> np.ndarray:
+    """For each column u of U (m, N), a functional phi with ||phi||* <= 1 and
+    <phi, u> = ||u||, as the columns of a C-ordered (m, N) array.
 
-    Doubles as a subgradient of the norm at u.  For u = 0 returns zero.
+    Doubles as a subgradient of the norm at each column; a zero column gets
+    zero (a coordinate functional for l_inf).  l_inf and polytopes take one
+    argmax of |<phi, u>| per column (the first on ties) times a sign, each
+    dual product a matrix-vector product.  A general p goes column by
+    column: numpy's vector pow rounds unlike its scalar one.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if space.kind == "polytope":
-        vals = space.functionals @ u
-        k = int(np.argmax(np.abs(vals)))
-        return np.copysign(1.0, vals[k]) * space.functionals[k]
-    p = space.p
-    if p is None:
-        k = int(np.argmax(np.abs(u)))
-        phi = np.zeros(space.dim)
-        phi[k] = np.copysign(1.0, u[k]) if u[k] != 0.0 else 1.0
-        return phi
+    U = np.asarray(U, dtype=np.float64)
+    p, F = space.p, space.functionals
+    if space.kind == "polytope" or p is None:
+        cols = np.arange(U.shape[1])
+        vals = U if F is None else np.matmul(F, U.T[:, :, None])[..., 0].T
+        k = np.abs(vals).argmax(axis=0)
+        s = vals[k, cols]
+        if F is not None:
+            return np.ascontiguousarray((np.copysign(1.0, s)[:, None] * F[k]).T)
+        Phi = np.zeros_like(U)
+        Phi[k, cols] = np.where(s != 0.0, np.copysign(1.0, s), 1.0)
+        return Phi
     if p == 1.0:
-        return np.sign(u)
-    nrm = norm_rows(space, u)
-    if nrm == 0.0:
-        return np.zeros(space.dim)
+        return np.sign(U)
+    Ut = np.ascontiguousarray(U.T)  # each column's norm reduced as one row
     if p == 2.0:
-        return u / nrm
-    return np.sign(u) * (np.abs(u) / nrm) ** (p - 1.0)
+        nrm = norm_rows(space, Ut)
+        Phi = Ut / np.where(nrm == 0.0, 1.0, nrm)[:, None]
+        Phi[nrm == 0.0] = 0.0
+        return np.ascontiguousarray(Phi.T)
+    cols = []
+    for u in Ut:
+        nrm = norm_rows(space, u)
+        cols.append(np.sign(u) * (np.abs(u) / nrm) ** (p - 1.0) if nrm != 0.0 else np.zeros(space.dim))
+    return np.stack(cols, axis=1)
+
+
+def norming_functional(space: NormSpec, u) -> np.ndarray:
+    """``norming_functionals`` of the one vector u."""
+    return norming_functionals(space, np.asarray(u, dtype=np.float64)[:, None])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ each functional row r_k of the norm (coordinates for lp, functionals for
 polytope) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k>, so the kernel
 keeps the rows, the combine mode, the divisor 2^(n-1) and, for n <= 9, the
 whole half enumeration with the points per product.  Its constructor is
-the one place that looks at the kind of space; the exact and empirical
-norms, the norming functionals and the weak variances read its fields.
+the one place here that looks at the kind of space; the exact and
+empirical norms read its fields, and so does the batched weak variance
+(``weakvar.weak_variances``).
 
 Enumeration: one representative per antipodal pair (values repeat under
 eps -> -eps, so the last sign is pinned to +1), split meet-in-the-middle
@@ -49,7 +50,7 @@ from .signs import (
     half_enumeration_size,
     half_gray_sign_block,
 )
-from .spaces import NormSpec, VectorFamily, norming_functional, validate_family
+from .spaces import NormSpec, VectorFamily, validate_family
 
 # split enumeration: sign bits of the low half, signed sums per row block
 # of a combine tile and in all K row blocks; points per block of a large
@@ -212,60 +213,6 @@ class NormKernel:
             vals = _combine_blocks(T.transpose(1, 0, 2), self.mode, self.p)
             out[ps : ps + c] = [math.fsum(v) for v in vals.tolist()]
         return out / N
-
-    def norming_functionals(self, U: np.ndarray) -> np.ndarray:
-        """``spaces.norming_functional`` of each column of U (m, N), as the
-        columns of a C-ordered (m, N) array, bit for bit.
-
-        l_inf and polytopes take one argmax of |<phi, u>| per column (the
-        first on ties, like the per-column call) times a sign; each dual
-        product is a matrix-vector product, as in the per-column call.  A
-        general p keeps the per-column call: numpy's vector pow rounds
-        unlike its scalar one.
-        """
-        if self.mode == "sumabs":
-            return np.sign(U)
-        if self.mode == "p":
-            return np.stack([norming_functional(self.space, u) for u in U.T], axis=1)
-        if self.mode == "sumsq":
-            Ut = np.ascontiguousarray(U.T)  # each column's norm reduced as one row
-            nrm = np.sqrt(np.square(Ut).sum(axis=-1))
-            zero = nrm == 0.0
-            Phi = Ut / np.where(zero, 1.0, nrm)[:, None]
-            Phi[zero] = 0.0
-            return np.ascontiguousarray(Phi.T)
-        F, cols = self.dual, np.arange(U.shape[1])
-        vals = U if F is None else np.matmul(F, U.T[:, :, None])[..., 0].T
-        k = np.abs(vals).argmax(axis=0)
-        s = vals[k, cols]
-        if F is not None:
-            return np.ascontiguousarray((np.copysign(1.0, s)[:, None] * F[k]).T)
-        Phi = np.zeros_like(U)
-        Phi[k, cols] = np.where(s != 0.0, np.copysign(1.0, s), 1.0)
-        return Phi
-
-    def weak_variances(self, X: np.ndarray) -> np.ndarray | None:
-        """Weak variance sigma at each row of X (P, n), or None for l1 and
-        general p, which take ``weakvar.sigma`` one point at a time.
-
-        l_inf: max_k ||x * V[k]||_2; l2: the largest singular value of
-        V diag(x); polytope: max_l ||F_l V diag(x)||_2 with each point's
-        (K, m) @ (m, n) product as in ``weakvar.sigma``, chunked by points.
-        """
-        V = self.columns
-        if self.dual is not None:
-            K, (m, n) = self.dual.shape[0], V.shape
-            c = max(1, _BUFFER // ((K + m) * n))
-            out = np.empty(X.shape[0])
-            for ps in range(0, X.shape[0], c):
-                W = V[None] * X[ps : ps + c, None, :]  # each point's weighted columns
-                out[ps : ps + c] = np.square(self.dual @ W).sum(axis=2).max(axis=1)
-            return np.sqrt(out)
-        if self.mode == "maxabs":
-            return np.sqrt((np.square(V) @ np.square(X).T).max(axis=0))
-        if self.mode == "sumsq":
-            return np.linalg.svd(V[None] * X[:, None, :], compute_uv=False)[:, 0]
-        return None
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Weak variance of a weighted family and Khinchin-type bounds.
 
 The weak variance of w_1..w_n is the supremum over dual unit-ball
-functionals phi of sqrt(sum_i phi(w_i)^2).  Over our space menu it is an
-exact maximum over a finite certificate set (dual vertices / extreme
-points) or the largest singular value (euclidean case).  Where no finite
-exact description exists the result is flagged ``lower_bound_only`` and
-never silently wrong.
+functionals phi of sqrt(sum_i phi(w_i)^2).  ``weak_variances`` computes it
+for a batch of points of one family from its prepared norm kernel, and is
+the one place that looks at the kind of space for it: an exact maximum
+over a finite certificate set (dual vertices / extreme points) or the
+largest singular value (euclidean case).  Where no finite exact
+description exists the result is a sampled lower bound, flagged
+``lower_bound_only`` and never silently wrong.  ``sigma`` is its batch of
+one point.
 """
 
 from __future__ import annotations
@@ -17,14 +20,18 @@ import numpy as np
 
 from .errors import CapacityError
 from .signs import ENUMERATION_CAP, half_enumeration_size, half_gray_sign_block
-from .spaces import NormSpec, VectorFamily, lp_space, norming_functional
-from .symmetrize import NormInstance, exact_unconditional_norm
+from .spaces import NormSpec, VectorFamily, lp_space, norming_functionals
+from .symmetrize import _BUFFER, NormInstance, NormKernel, _gemm_rows, exact_unconditional_norm
 
 # optimal constant in the L1 Khinchin inequality (Szarek)
 KHINCHIN_CONSTANT = math.sqrt(2.0)
 
 # vertex enumeration refuses exactness beyond this dual-cube dimension
 VERTEX_ENUM_CAP = 20
+
+# the sampled lower bound scans this many seeded directions
+_LOWER_BOUND_SAMPLES = 256
+_LOWER_BOUND_SEED = 0
 
 _POWER_TOL = 1e-10
 _POWER_MAXITER = 20000
@@ -89,17 +96,64 @@ class SigmaResult:
     lower_bound_only: bool = False
 
 
-def _weighted_columns(family: VectorFamily, x: np.ndarray) -> np.ndarray:
-    return family.columns * np.asarray(x, dtype=np.float64)[None, :]
+def weak_variances(
+    kernel: NormKernel,
+    X,
+    *,
+    vertex_cap: int = VERTEX_ENUM_CAP,
+    lower_bound_beyond_cap: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Weak variance at each row x of X (P, n): the values (P,), the
+    certificates (P, m), the ``lower_bound_only`` flags (P,) and the method.
 
-
-def _sigma_l1(W: np.ndarray, cap: int) -> SigmaResult:
-    m = W.shape[0]
-    if m > cap:
+    A point's value, certificate and flag do not depend on its batch.
+    l_inf: max_k ||x * V[k]||_2, one GEMM of squares with both operands
+    padded by ``_gemm_rows``, certificate e_k.  Polytope: max_l
+    ||F_l V diag(x)||_2 from each point's (K, m) @ (m, n) product, chunked
+    by points, certificate F_l.  l2: the top singular pair of V diag(x),
+    one stacked SVD.  l1 up to ``vertex_cap`` dual-cube dimensions: every
+    dual vertex, point by point.  Beyond the cap l1 raises CapacityError,
+    or with ``lower_bound_beyond_cap`` gets, like any other p, the sampled
+    lower bound.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    V, F, P = kernel.columns, kernel.dual, X.shape[0]
+    m = V.shape[0]
+    flags = np.zeros(P, dtype=bool)  # the exact methods
+    if F is None and kernel.mode == "maxabs":
+        S = (np.square(_gemm_rows(V)) @ np.square(_gemm_rows(X)).T)[:m, :P]
+        k = S.argmax(axis=0)
+        return np.sqrt(S[k, np.arange(P)]), np.eye(m)[k], flags, "extreme-point-scan"
+    if F is not None:
+        c = max(1, _BUFFER // ((F.shape[0] + m) * V.shape[1]))
+        S = np.concatenate([
+            np.square(F @ (V[None] * X[ps : ps + c, None, :])).sum(axis=2)
+            for ps in range(0, P, c)
+        ])
+        k = S.argmax(axis=1)
+        return np.sqrt(S[np.arange(P), k]), F[k], flags, "extreme-point-scan"
+    if kernel.mode == "sumsq":
+        U, s, _ = np.linalg.svd(V[None] * X[:, None, :], full_matrices=False)
+        return s[:, 0], U[:, :, 0], flags, "spectral"
+    sampled = kernel.mode == "p" or (m > vertex_cap and lower_bound_beyond_cap)
+    if not sampled and m > vertex_cap:
         raise CapacityError(
             f"l1 weak variance needs 2^{m} dual vertices; exact enumeration capped "
-            f"at m <= {cap}"
+            f"at m <= {vertex_cap}"
         )
+    pairs = [
+        _sampled_lower_bound(kernel.space, V * x) if sampled else _dual_vertices(V * x)
+        for x in X
+    ]
+    values = np.array([value for value, _ in pairs])
+    certificates = np.array([cert for _, cert in pairs])
+    method = "sampled-lower-bound" if sampled else "vertex-enumeration"
+    return values, certificates, np.full(P, sampled), method
+
+
+def _dual_vertices(W: np.ndarray) -> tuple[float, np.ndarray]:
+    # l1: the dual ball's vertices are the sign vectors, one per +- pair
+    m = W.shape[0]
     G = W @ W.T
     best = -1.0
     best_vertex = None
@@ -113,48 +167,20 @@ def _sigma_l1(W: np.ndarray, cap: int) -> SigmaResult:
         if vals[k] > best:
             best = float(vals[k])
             best_vertex = B[k].copy()
-    return SigmaResult(
-        value=math.sqrt(max(best, 0.0)),
-        method="vertex-enumeration",
-        certificate=best_vertex,
-    )
+    return math.sqrt(max(best, 0.0)), best_vertex
 
 
-def _sigma_scan(points: np.ndarray, W: np.ndarray, method: str) -> SigmaResult:
-    vals = np.square(points @ W).sum(axis=1)
-    k = int(np.argmax(vals))
-    return SigmaResult(
-        value=math.sqrt(max(float(vals[k]), 0.0)),
-        method=method,
-        certificate=points[k].copy(),
-    )
-
-
-def _sigma_smooth_lp(space: NormSpec, W: np.ndarray, samples: int, seed: int) -> SigmaResult:
-    # no finite extreme-point description: scan norming functionals of
-    # sampled directions (plus the column directions and the spectral one)
-    m = W.shape[0]
-    rng = np.random.default_rng(np.uint64(seed))
-    dirs = [W[:, i] for i in range(W.shape[1]) if np.any(W[:, i])]
+def _sampled_lower_bound(space: NormSpec, W: np.ndarray) -> tuple[float, np.ndarray]:
+    # no finite extreme-point description: scan the norming functionals of
+    # the nonzero columns, the spectral direction and seeded directions, one
+    # product per direction (a GEMM could move bits)
+    rng = np.random.default_rng(np.uint64(_LOWER_BOUND_SEED))
     _, u = largest_singular_value(W)
-    dirs.append(u)
-    dirs.extend(rng.standard_normal((samples, m)))
-    best = -1.0
-    best_phi = None
-    for d in dirs:
-        if not np.any(d):
-            continue
-        phi = norming_functional(space, d)
-        val = float(np.square(phi @ W).sum())
-        if val > best:
-            best = val
-            best_phi = phi
-    return SigmaResult(
-        value=math.sqrt(max(best, 0.0)),
-        method="extreme-point-scan",
-        certificate=best_phi,
-        lower_bound_only=True,
-    )
+    D = np.column_stack([W, u, rng.standard_normal((_LOWER_BOUND_SAMPLES, W.shape[0])).T])
+    Phi = np.ascontiguousarray(norming_functionals(space, D[:, np.any(D, axis=0)]).T)
+    vals = [float(np.square(phi @ W).sum()) for phi in Phi]
+    k = int(np.argmax(vals))
+    return math.sqrt(max(vals[k], 0.0)), Phi[k]
 
 
 def sigma(
@@ -162,40 +188,18 @@ def sigma(
     x,
     *,
     vertex_cap: int = VERTEX_ENUM_CAP,
-    lower_bound_samples: int = 256,
-    seed: int = 0,
     lower_bound_beyond_cap: bool = False,
 ) -> SigmaResult:
-    """Weak variance of the weighted family (x_1 v_1, ..., x_n v_n).
-
-    Exact for l2 (spectral), l_inf and polytope (extreme-point scan), and
-    l1 up to ``vertex_cap`` dual-cube dimensions; other lp values get an
-    honest sampled lower bound flagged ``lower_bound_only``.  Beyond the
-    cap l1 raises CapacityError, or with ``lower_bound_beyond_cap`` gets
-    that sampled lower bound too.
+    """Weak variance of the weighted family (x_1 v_1, ..., x_n v_n):
+    ``weak_variances`` on a batch of one point, so the two agree bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    W = _weighted_columns(family, x)
-    space = family.space
-    if space.kind == "polytope":
-        return _sigma_scan(space.functionals, W, "extreme-point-scan")
-    p = space.p
-    if p is None:
-        vals = np.square(W).sum(axis=1)
-        k = int(np.argmax(vals))
-        cert = np.zeros(space.dim)
-        cert[k] = 1.0
-        return SigmaResult(
-            value=math.sqrt(max(float(vals[k]), 0.0)),
-            method="extreme-point-scan",
-            certificate=cert,
-        )
-    if p == 2.0:
-        s, u = largest_singular_value(W)
-        return SigmaResult(value=s, method="spectral", certificate=u)
-    if p == 1.0 and (space.dim <= vertex_cap or not lower_bound_beyond_cap):
-        return _sigma_l1(W, vertex_cap)
-    return _sigma_smooth_lp(space, W, lower_bound_samples, seed)
+    values, certificates, flags, method = weak_variances(
+        NormKernel(family),
+        np.asarray(x, dtype=np.float64)[None, :],
+        vertex_cap=vertex_cap,
+        lower_bound_beyond_cap=lower_bound_beyond_cap,
+    )
+    return SigmaResult(float(values[0]), method, certificates[0], bool(flags[0]))
 
 
 @dataclass(frozen=True)

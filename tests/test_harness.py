@@ -225,6 +225,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"(field: {field})" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, extra, field",
+        [
+            ("distortion", {"trials": 1}, "xi"),
+            ("empirical-norm", {}, "xi"),
+            ("distortion", {"trials": 1, "xi": 0.5, "N": 4}, "N"),
+            ("empirical-norm", {"xi": 0.5, "N": 4}, "N"),
+        ],
+    )
+    def test_xi_N_error_comes_before_the_output_directory(
+        self, tmp_path, family_file, capsys, experiment, extra, field
+    ):
+        # the family has n = 6: xi = 0.5 gives N = 9, not 4
+        doc = {"family_file": family_file, "master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main([experiment, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_xi_N_agreement(self):
         assert resolve_N({"xi": 0.5}, 8) == (12, 0.5)
         assert resolve_N({"N": 12}, 8) == (12, 0.5)
@@ -548,3 +568,55 @@ class TestCaps:
             report = run_experiment(validate_config(doc, experiment=experiment))
             counts[tag] = report.results["uv_tentative_trials"]
         assert counts == {"default": 0, "capped": 2}
+
+    @pytest.mark.parametrize(
+        "caps, code, message",
+        [
+            ({}, 0, None),
+            ({"max_dual_vertices_m": 3}, 3, "2^4 dual vertices"),
+            ({"max_enum_n": 4}, 3, "2^5 sign patterns"),
+        ],
+    )
+    def test_concentration_keeps_both_caps(self, tmp_path, rng, capsys, caps, code, message):
+        fam = nl.make_family(nl.lp_space(1, 4), rng.standard_normal((5, 4)))
+        nl.save_family(fam, tmp_path / "l1.json")
+        doc = {
+            "family_file": str(tmp_path / "l1.json"),
+            "x": [1.0, -0.5, 2.0, 0.25, 1.5],
+            "caps": caps,
+            "master_seed": 3,
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main(["concentration", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is None:
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["results"]["sigma_method"] == "vertex-enumeration"
+        else:
+            assert message in err
+
+
+class TestSigmaMethod:
+    def test_sampled_lower_bound_has_its_own_label(self, tmp_path, rng):
+        # l_3 has no finite extreme-point description: sigma is only a lower
+        # bound, and the report says so
+        fam = nl.make_family(nl.lp_space(3, 3), rng.standard_normal((5, 3)))
+        nl.save_family(fam, tmp_path / "l3.json")
+        doc = {
+            "family_file": str(tmp_path / "l3.json"),
+            "x": [1.0, -0.5, 2.0, 0.25, 1.5],
+            "master_seed": 3,
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        report = run_experiment(validate_config(doc, experiment="concentration"))
+        assert report.results["sigma_method"] == "sampled-lower-bound"
+        r = nl.sigma(fam, doc["x"])
+        assert r.method == "sampled-lower-bound" and r.lower_bound_only
+        # l1 past its vertex cap gets the same label; within it, the exact one
+        fam1 = nl.make_family(nl.lp_space(1, 3), rng.standard_normal((5, 3)))
+        capped = nl.sigma(fam1, doc["x"], vertex_cap=2, lower_bound_beyond_cap=True)
+        assert capped.method == "sampled-lower-bound" and capped.lower_bound_only
+        exact = nl.sigma(fam1, doc["x"], vertex_cap=3, lower_bound_beyond_cap=True)
+        assert exact.method == "vertex-enumeration" and not exact.lower_bound_only

@@ -1,7 +1,7 @@
 """Property tests of the prepared norm kernel over every kind of space.
 
-Each batched method must give every point the bits of its own one-point
-call, or of the per-point reference it replaces.  Examples are
+Each batched computation must give every point the bits of its own
+one-point call.  Examples are
 derandomized, so a run is reproducible.
 """
 
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import normlab as nl
 from normlab import symmetrize
-from normlab.spaces import norming_functional
-from normlab.weakvar import sigma
+from normlab.spaces import norming_functional, norming_functionals
+from normlab.weakvar import sigma, weak_variances
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -132,46 +132,52 @@ def test_value_blocks_at_n17_are_the_half_enumeration(kind, K):
 @example("poly", 3, 40, 300, True, 1)
 @example("linf", 4, 1, 64, True, 2)
 @example("l2", 4, 1, 65, True, 3)
-def test_batched_norming_functional_equals_per_column(kind, m, K, N, integral, seed):
+@example("l3", 3, 1, 65, True, 4)
+def test_norming_functional_of_a_column_does_not_depend_on_its_batch(kind, m, K, N, integral, seed):
     # small integers make ties and exact zeros; some zeros are -0.0, and
     # some columns are zero
     rng = np.random.default_rng(seed)
-    fam = nl.make_family(_space(kind, m, K, rng, integral), rng.standard_normal((2, m)))
+    space = _space(kind, m, K, rng, integral)
     U = rng.integers(-2, 3, size=(m, N)).astype(float) if integral else rng.standard_normal((m, N))
     U[rng.random((m, N)) < 0.2] = -0.0
     U[:, rng.random(N) < 0.1] = 0.0
-    Phi = nl.NormInstance(family=fam).kernel.norming_functionals(U)
+    Phi = norming_functionals(space, U)
     assert Phi.shape == U.shape and Phi.flags.c_contiguous
     for j in range(N):
-        assert Phi[:, j].tobytes() == norming_functional(fam.space, U[:, j]).tobytes()
+        assert Phi[:, j].tobytes() == norming_functional(space, U[:, j]).tobytes()
 
 
 @PROPS
 @given(
-    st.sampled_from(("l2", "linf", "poly")),
+    st.sampled_from(KINDS),
     st.integers(1, 4),
     st.integers(1, 40),
     st.integers(1, 12),
     BATCHES,
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example("poly", 4, 40, 12, 300, 1)
-@example("poly", 1, 1, 1, 1, 2)
-def test_batched_weak_variance_equals_sigma(kind, m, K, n, P, seed):
+@example("poly", 4, 40, 12, 300, False, 1)
+@example("poly", 1, 1, 1, 1, False, 2)
+@example("linf", 1, 1, 9, 65, False, 3)  # one row: a matrix-vector product unless padded
+@example("l1", 3, 1, 6, 65, False, 4)
+@example("l1", 3, 1, 6, 65, True, 5)  # past the vertex cap: the sampled lower bound
+@example("l3", 2, 1, 4, 193, False, 6)
+def test_weak_variance_of_a_point_does_not_depend_on_its_batch(kind, m, K, n, P, capped, seed):
+    # a sampled scan runs point by point and costs milliseconds a point:
+    # a short batch there
+    sampled = kind == "l3" or (kind == "l1" and capped)
+    P = min(P, 4) if sampled else P
     rng = np.random.default_rng(seed)
     fam = _family(kind, m, K, n, rng)
     X = rng.standard_normal((P, n))
     X[rng.random(P) < 0.05] = 0.0
-    got = nl.NormInstance(family=fam).kernel.weak_variances(X)
-    want = np.array([sigma(fam, x).value for x in X])
-    if kind == "poly":
-        assert got.tobytes() == want.tobytes()
-    else:  # the batched sup-norm and spectral forms round in their own order
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-def test_weak_variance_is_left_to_sigma_for_l1_and_general_p():
-    rng = np.random.default_rng(5)
-    for kind in ("l1", "l3"):
-        kernel = nl.NormInstance(family=_family(kind, 3, 1, 5, rng)).kernel
-        assert kernel.weak_variances(rng.standard_normal((4, 5))) is None
+    caps = {"vertex_cap": m - 1 if capped else m, "lower_bound_beyond_cap": True}
+    values, certs, flags, method = weak_variances(nl.NormInstance(family=fam).kernel, X, **caps)
+    assert values.shape == flags.shape == (P,) and certs.shape == (P, m)
+    assert list(flags) == [sampled] * P and (method == "sampled-lower-bound") == sampled
+    for i in range(P):
+        alone = sigma(fam, X[i], **caps)  # a batch of one
+        assert alone.method == method and alone.lower_bound_only == flags[i]
+        assert np.float64(alone.value).tobytes() == values[i].tobytes()
+        assert alone.certificate.tobytes() == certs[i].tobytes()

@@ -1,4 +1,4 @@
-"""Print one sha256 per exact-norm batch, net build and experiment CSV, to diff two checkouts.
+"""Print one sha256 per exact-norm batch, sigma case, net build and experiment CSV, to diff checkouts.
 
 Run from the root of a checkout, with the BLAS pinned to one thread:
 
@@ -11,6 +11,11 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   blocks of one point (``iter_exact_value_blocks``, the concentration
   path), at n = 10, 13, 16 and 17 on l_inf, l1, l2, l3, the 6-row polytope
   and a 40-row polytope, whose points span several tiles at n = 16;
+* ``sigma/...``: ``nl.sigma`` at 64 seeded points (the first one zero)
+  of l_inf, l1 (within its vertex cap, and over it with
+  ``lower_bound_beyond_cap``), l2, l3 and 6-row polytope families at
+  n = 1, 5 and 12, one line over the values, flags and certificates and
+  one (``.../method``) over the method labels;
 * ``net/...``: 252 greedy builds (l_inf, l1, l2 and l3 families at
   n = 1..5, theta 0.5, 0.6 and 1.0, budget None, 1, 2 and 30; polytope
   families at n = 4 and 5, the same thetas, budget None and 30), hashed
@@ -19,14 +24,16 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   report (``csv/<label>/results``, its JSON with sorted keys), of the
   experiments of the acceptance criteria at their fixed seeds, of small
   distortion runs on every kind of space with a theta = 1/2 net, of
+  concentration on l1, l2, l3 and the polytope, of
   distortion (l1, l3) and scalar sweeps whose descents run until their
   steps fall below the floor, of distortion at an xi that N = round((1+xi) n)
   moves and at an N alone, of sweeps that repeat an xi, and of the first
   batches of the benchmark workloads: two of each, and twenty of
   ``nets-n4``, whose batches are one build each.
 
-``--only exact``, ``--only net`` or ``--only csv`` prints one part, and
-``--match PREFIX`` only the experiments whose label starts with PREFIX.
+``--only exact``, ``--only sigma``, ``--only net`` or ``--only csv`` prints
+one part, and ``--match PREFIX`` only the experiments whose label starts
+with PREFIX.
 The whole run takes a few minutes on two cores.
 """
 
@@ -77,6 +84,25 @@ def exact_digests():
                 h.update(f"{block.size} ".encode())
                 h.update(block.tobytes())
             yield f"exact/{kind}-n{n}-blocks", h.hexdigest()
+
+
+def sigma_digests():
+    cases = [("linf", {}), ("l1", {}), ("l1-capped", {"vertex_cap": 2, "lower_bound_beyond_cap": True}),
+             ("l2", {}), ("l3", {}), ("poly", {})]
+    for label, caps in cases:
+        kind = label.split("-")[0]
+        for n in (1, 5, 12):
+            fam = nl.make_family(_space(kind), _vectors(kind, n))
+            X = np.random.default_rng(200 + n).standard_normal((64, n))
+            X[0] = 0.0
+            h, methods = hashlib.sha256(), hashlib.sha256()
+            for x in X:
+                r = nl.sigma(fam, x, **caps)
+                h.update(np.float64(r.value).tobytes() + bytes([r.lower_bound_only]))
+                h.update(r.certificate.tobytes())
+                methods.update(f"{r.method}\n".encode())
+            yield f"sigma/{label}-n{n}", h.hexdigest()
+            yield f"sigma/{label}-n{n}/method", methods.hexdigest()
 
 
 def net_digests():
@@ -167,6 +193,13 @@ def _configs(tmp: Path):
                                       "master_seed": 7}
         yield f"kinds-{kind}-empirical", {"experiment": "empirical-norm", **fam6, "xi": 2.0,
                                           "count": 300, "master_seed": 8}
+    # exact distributions on the kinds that criterion 10 does not run
+    for kind in ("l1", "l2", "l3", "poly"):
+        yield f"kinds-{kind}-concentration", {
+            "experiment": "concentration", "space": nl.space_to_json(_space(kind)),
+            "vectors": _vectors(kind, 6), "x": np.random.default_rng(14).standard_normal(6).tolist(),
+            "master_seed": 14,
+        }
     # descents long enough that their steps fall below DESCENT_STEP_MIN
     for kind in ("l1", "l3"):
         yield f"descent-{kind}-distortion", {
@@ -219,11 +252,14 @@ def csv_digests(match: str = ""):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", choices=("exact", "net", "csv"))
+    ap.add_argument("--only", choices=("exact", "sigma", "net", "csv"))
     ap.add_argument("--match", default="", help="run only the experiments whose label starts so")
     args = ap.parse_args(argv)
     if args.only in (None, "exact") and not args.match:
         for label, digest in exact_digests():
+            print(label, digest, flush=True)
+    if args.only in (None, "sigma") and not args.match:
+        for label, digest in sigma_digests():
             print(label, digest, flush=True)
     if args.only in (None, "net") and not args.match:
         for label, digest in net_digests():
