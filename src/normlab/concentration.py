@@ -64,8 +64,8 @@ def exact_distribution(
 
     Atoms within ATOM_MERGE_TOL (absolute) are aggregated.  The median is
     the lower median: the smallest atom v with P(X <= v) >= 1/2 and
-    P(X >= v) >= 1/2.  sigma is exact or a CapacityError: an l1 space
-    wider than ``vertex_cap`` is refused.
+    P(X >= v) >= 1/2.  sigma is exact, a flagged lower bound (any p but 1,
+    2 and inf), or a CapacityError on an l1 space wider than ``vertex_cap``.
     """
     x = np.asarray(x, dtype=np.float64)
     vals = np.sort(

@@ -304,7 +304,8 @@ def _halves(T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
-def _check_points(n: int, X) -> np.ndarray:
+def _check_points(n: int, X, one: bool = False) -> np.ndarray:
+    """X (P, n), a vector as one row; with ``one``, exactly one point."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -312,6 +313,8 @@ def _check_points(n: int, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have shape {X.shape}, expected (*, {n})", expected=n
         )
+    if one and X.shape[0] != 1:
+        raise DimensionMismatchError(f"expected one point, got {len(X)}", expected=1, got=len(X))
     if not np.isfinite(X).all():
         raise NonFiniteInputError("points contain non-finite entries")
     return X
@@ -357,7 +360,7 @@ def iter_exact_value_blocks(
     weight 2 implied); concatenated blocks cover all 2^(n-1) patterns.
     """
     _enum_guard(family.n, max_n)
-    for _, tile in NormKernel(family).value_tiles(_check_points(family.n, x)[:1]):
+    for _, tile in NormKernel(family).value_tiles(_check_points(family.n, x, one=True)):
         yield tile[0]
 
 
@@ -368,7 +371,7 @@ def exact_unconditional_norm(
 
     The batched kernel on a batch of one point, so the two agree bit for bit.
     """
-    return float(exact_unconditional_norm_many(inst, _check_points(inst.n, x)[:1], max_n)[0])
+    return float(exact_unconditional_norm_many(inst, _check_points(inst.n, x, one=True), max_n)[0])
 
 
 def exact_unconditional_norm_many(
@@ -382,8 +385,7 @@ def exact_unconditional_norm_many(
 
 def empirical_norm(inst: EmpiricalNormInstance, x) -> float:
     """(1/N) sum_j ||sum_i eps_ij x_i v_i||: the batched kernel on a batch of one."""
-    X = _check_points(inst.n, x)[:1]
-    return float(inst.kernel.empirical(inst.signs.dense(), X)[0])
+    return float(inst.kernel.empirical(inst.signs.dense(), _check_points(inst.n, x, one=True))[0])
 
 
 def batch_empirical_norm(inst: EmpiricalNormInstance, xs) -> np.ndarray:

@@ -3,10 +3,11 @@
 The weak variance of w_1..w_n is the supremum over dual unit-ball
 functionals phi of sqrt(sum_i phi(w_i)^2).  ``weak_variances`` computes it
 for a batch of points of one family from its prepared norm kernel, and is
-the one place that looks at the kind of space for it: an exact maximum
-over a finite certificate set (dual vertices / extreme points) or the
-largest singular value (euclidean case).  Where no finite exact
-description exists the result is a sampled lower bound, flagged
+the one place that looks at the kind of space for it.  Where the dual ball
+is a polytope (l_inf, l1 up to its vertex cap, polytope spaces) it is the
+exact maximum over the extreme points: one scan of GEMMs of squares over
+all points and a block of extreme points at a time.  For l2 it is the
+largest singular value.  Otherwise it is a sampled lower bound, flagged
 ``lower_bound_only`` and never silently wrong.  ``sigma`` is its batch of
 one point.
 """
@@ -21,13 +22,17 @@ import numpy as np
 from .errors import CapacityError
 from .signs import ENUMERATION_CAP, half_enumeration_size, half_gray_sign_block
 from .spaces import NormSpec, VectorFamily, lp_space, norming_functionals
-from .symmetrize import _BUFFER, NormInstance, NormKernel, _gemm_rows, exact_unconditional_norm
+from .symmetrize import _BUFFER, _GEMM_BLOCK, NormInstance, NormKernel, _check_points
+from .symmetrize import _gemm_rows, exact_unconditional_norm
 
 # optimal constant in the L1 Khinchin inequality (Szarek)
 KHINCHIN_CONSTANT = math.sqrt(2.0)
 
 # vertex enumeration refuses exactness beyond this dual-cube dimension
 VERTEX_ENUM_CAP = 20
+
+# dual-cube vertices per block of the extreme-point scan
+_VERTEX_BLOCK = 1 << 14
 
 # the sampled lower bound scans this many seeded directions
 _LOWER_BOUND_SAMPLES = 256
@@ -107,67 +112,58 @@ def weak_variances(
     certificates (P, m), the ``lower_bound_only`` flags (P,) and the method.
 
     A point's value, certificate and flag do not depend on its batch.
-    l_inf: max_k ||x * V[k]||_2, one GEMM of squares with both operands
-    padded by ``_gemm_rows``, certificate e_k.  Polytope: max_l
-    ||F_l V diag(x)||_2 from each point's (K, m) @ (m, n) product, chunked
-    by points, certificate F_l.  l2: the top singular pair of V diag(x),
-    one stacked SVD.  l1 up to ``vertex_cap`` dual-cube dimensions: every
-    dual vertex, point by point.  Beyond the cap l1 raises CapacityError,
-    or with ``lower_bound_beyond_cap`` gets, like any other p, the sampled
-    lower bound.
+    l_inf, polytopes and l1 up to ``vertex_cap`` dual-cube dimensions: the
+    extreme-point scan.  l2: the top singular pair of V diag(x), one stacked
+    SVD.  Beyond the cap l1 raises CapacityError, or with
+    ``lower_bound_beyond_cap`` gets, like any other p, the sampled lower
+    bound, point by point.
     """
-    X = np.asarray(X, dtype=np.float64)
-    V, F, P = kernel.columns, kernel.dual, X.shape[0]
+    X = _check_points(kernel.n, X)
+    V, P, mode = kernel.columns, X.shape[0], kernel.mode
     m = V.shape[0]
     flags = np.zeros(P, dtype=bool)  # the exact methods
-    if F is None and kernel.mode == "maxabs":
-        S = (np.square(_gemm_rows(V)) @ np.square(_gemm_rows(X)).T)[:m, :P]
-        k = S.argmax(axis=0)
-        return np.sqrt(S[k, np.arange(P)]), np.eye(m)[k], flags, "extreme-point-scan"
-    if F is not None:
-        c = max(1, _BUFFER // ((F.shape[0] + m) * V.shape[1]))
-        S = np.concatenate([
-            np.square(F @ (V[None] * X[ps : ps + c, None, :])).sum(axis=2)
-            for ps in range(0, P, c)
-        ])
-        k = S.argmax(axis=1)
-        return np.sqrt(S[np.arange(P), k]), F[k], flags, "extreme-point-scan"
-    if kernel.mode == "sumsq":
+    if mode == "maxabs" or (mode == "sumabs" and m <= vertex_cap):
+        method = "extreme-point-scan" if mode == "maxabs" else "vertex-enumeration"
+        return (*_extreme_point_scan(kernel, X), flags, method)
+    if mode == "sumsq":
         U, s, _ = np.linalg.svd(V[None] * X[:, None, :], full_matrices=False)
         return s[:, 0], U[:, :, 0], flags, "spectral"
-    sampled = kernel.mode == "p" or (m > vertex_cap and lower_bound_beyond_cap)
-    if not sampled and m > vertex_cap:
-        raise CapacityError(
-            f"l1 weak variance needs 2^{m} dual vertices; exact enumeration capped "
-            f"at m <= {vertex_cap}"
-        )
-    pairs = [
-        _sampled_lower_bound(kernel.space, V * x) if sampled else _dual_vertices(V * x)
-        for x in X
-    ]
+    if mode == "sumabs" and not lower_bound_beyond_cap:
+        raise CapacityError(f"l1 weak variance needs 2^{m} dual vertices; cap is m <= {vertex_cap}")
+    pairs = [_sampled_lower_bound(kernel.space, V * x) for x in X]
     values = np.array([value for value, _ in pairs])
     certificates = np.array([cert for _, cert in pairs])
-    method = "sampled-lower-bound" if sampled else "vertex-enumeration"
-    return values, certificates, np.full(P, sampled), method
+    return values, certificates, ~flags, "sampled-lower-bound"
 
 
-def _dual_vertices(W: np.ndarray) -> tuple[float, np.ndarray]:
-    # l1: the dual ball's vertices are the sign vectors, one per +- pair
-    m = W.shape[0]
-    G = W @ W.T
-    best = -1.0
-    best_vertex = None
-    total = half_enumeration_size(m)
-    block = 1 << 14
-    for start in range(0, total, block):
-        count = min(block, total - start)
-        B = half_gray_sign_block(m, start, count)
-        vals = np.einsum("ij,jk,ik->i", B, G, B)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            best_vertex = B[k].copy()
-    return math.sqrt(max(best, 0.0)), best_vertex
+def _extreme_point_scan(kernel: NormKernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max_l ||phi_l V diag(x)||_2 and the first maximizing phi_l at each row
+    x of X, over the dual ball's extreme points up to sign: the unit vectors
+    (l_inf), the stored functionals (a polytope) or the half sign table of
+    the m-cube (l1) in blocks of ``_VERTEX_BLOCK``.  Per block, one GEMM of
+    squares square(Phi V) @ square(X).T, both operands padded by ``_gemm_rows``,
+    the points in chunks of whole ``_GEMM_BLOCK``s that keep it near
+    ``_BUFFER`` doubles; blocks merge by a strict >.  Neither blocks nor
+    chunks depend on the batch."""
+    P, m = X.shape[0], kernel.columns.shape[0]
+    if kernel.mode == "maxabs":
+        blocks = [np.eye(m) if kernel.dual is None else kernel.dual]  # I V is V exactly
+    else:
+        total = half_enumeration_size(m)
+        starts = range(0, total, _VERTEX_BLOCK)
+        blocks = (half_gray_sign_block(m, s, min(_VERTEX_BLOCK, total - s)) for s in starts)
+    best, certificates = np.full(P, -1.0), np.zeros((P, m))
+    for Phi in blocks:
+        R = np.square(_gemm_rows(Phi @ kernel.columns))
+        c = max(_GEMM_BLOCK, _BUFFER // R.shape[0] // _GEMM_BLOCK * _GEMM_BLOCK)
+        for ps in range(0, P, c):
+            Xc = X[ps : ps + c]
+            S = (R @ np.square(_gemm_rows(Xc)).T)[: Phi.shape[0], : Xc.shape[0]]
+            k = S.argmax(axis=0)
+            s = S[k, np.arange(Xc.shape[0])]
+            won = np.flatnonzero(s > best[ps : ps + c])
+            best[ps + won], certificates[ps + won] = s[won], Phi[k[won]]
+    return np.sqrt(best), certificates
 
 
 def _sampled_lower_bound(space: NormSpec, W: np.ndarray) -> tuple[float, np.ndarray]:
@@ -192,10 +188,11 @@ def sigma(
 ) -> SigmaResult:
     """Weak variance of the weighted family (x_1 v_1, ..., x_n v_n):
     ``weak_variances`` on a batch of one point, so the two agree bit for bit.
+    ``x`` is one point, a vector or a single row.
     """
     values, certificates, flags, method = weak_variances(
         NormKernel(family),
-        np.asarray(x, dtype=np.float64)[None, :],
+        _check_points(family.n, x, one=True),
         vertex_cap=vertex_cap,
         lower_bound_beyond_cap=lower_bound_beyond_cap,
     )

@@ -162,6 +162,7 @@ def test_norming_functional_of_a_column_does_not_depend_on_its_batch(kind, m, K,
 @example("linf", 1, 1, 9, 65, False, 3)  # one row: a matrix-vector product unless padded
 @example("l1", 3, 1, 6, 65, False, 4)
 @example("l1", 3, 1, 6, 65, True, 5)  # past the vertex cap: the sampled lower bound
+@example("l1", 16, 1, 6, 65, False, 7)  # two vertex blocks of 2^14, two point chunks
 @example("l3", 2, 1, 4, 193, False, 6)
 def test_weak_variance_of_a_point_does_not_depend_on_its_batch(kind, m, K, n, P, capped, seed):
     # a sampled scan runs point by point and costs milliseconds a point:

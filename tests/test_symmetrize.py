@@ -389,3 +389,34 @@ class TestBatchEmpirical:
         batch = nl.batch_empirical_norm(emp, X)
         for i, x in enumerate(X):
             assert batch[i] == nl.empirical_norm(emp, x)
+
+
+class TestOnePointCalls:
+    """The one-point calls take a vector or a single row, and refuse any other
+    count of points rather than reading the first row."""
+
+    @pytest.fixture
+    def calls(self, linf4_family):
+        inst = nl.NormInstance(family=linf4_family)
+        emp = nl.EmpiricalNormInstance(
+            family=linf4_family, signs=nl.sample_sign_matrix(linf4_family.n, 6, seed=4)
+        )
+        return {
+            "exact": lambda x: nl.exact_unconditional_norm(inst, x),
+            "empirical": lambda x: nl.empirical_norm(emp, x),
+            "blocks": lambda x: np.concatenate(
+                list(symmetrize.iter_exact_value_blocks(linf4_family, x))
+            ),
+        }
+
+    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks"])
+    def test_a_single_row_is_the_vector(self, calls, call, rng):
+        x = rng.standard_normal(8)
+        assert np.array_equal(calls[call](x), calls[call](x[None, :]))
+
+    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks"])
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_another_count_of_points_is_refused(self, calls, call, rows, rng):
+        with pytest.raises(DimensionMismatchError) as err:
+            calls[call](rng.standard_normal((rows, 8)))
+        assert err.value.got == rows

@@ -4,11 +4,32 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab.errors import CapacityError, NonFiniteInputError
+from normlab.errors import CapacityError, DimensionMismatchError, NonFiniteInputError
 
 from conftest import norm, random_family, space_menu
 
 SQRT2 = math.sqrt(2.0)
+
+POLYTOPE6 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0.5, 2, -1]]
+KINDS = {
+    "l1": nl.lp_space(1, 3),
+    "l2": nl.lp_space(2, 3),
+    "linf": nl.lp_space("inf", 3),
+    "l3": nl.lp_space(3, 3),
+    "poly": nl.polytope_space(POLYTOPE6),
+}
+
+
+def extreme_points(space):
+    """The dual ball's extreme points up to sign, listed by brute force: the
+    unit vectors (l_inf), the stored functionals (polytope) or all 2^m sign
+    vectors (l1)."""
+    m = space.dim
+    if space.kind == "polytope":
+        return np.asarray(space.functionals, dtype=float)
+    if space.p is None:
+        return np.eye(m)
+    return ((np.arange(2**m)[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0
 
 
 class TestSigma:
@@ -94,6 +115,60 @@ class TestSigma:
         closure = np.vstack([space.functionals, -space.functionals])
         best = max(float(np.square(phi @ W).sum()) for phi in closure)
         assert r.value == pytest.approx(math.sqrt(best), rel=1e-12)
+
+
+class TestSigmaOracle:
+    """sigma against the maximum of ||phi^T V diag(x)||_2 over every extreme
+    point phi of the dual ball, one point at a time."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [nl.lp_space("inf", 4), nl.polytope_space(POLYTOPE6)]
+        + [nl.lp_space(1, m) for m in range(1, 7)],
+        ids=["linf", "poly"] + [f"l1-m{m}" for m in range(1, 7)],
+    )
+    def test_scan_is_the_maximum_over_the_extreme_points(self, space, rng):
+        Phi = extreme_points(space)
+        for n in (1, 5, 9):
+            fam = random_family(space, n, rng)
+            for x in rng.standard_normal((10, n)):
+                W = fam.columns * x[None, :]
+                best = max(float(np.linalg.norm(phi @ W)) for phi in Phi)
+                r = nl.sigma(fam, x)
+                assert not r.lower_bound_only
+                assert r.value == pytest.approx(best, rel=1e-12)
+                # the certificate is an extreme point that attains the value
+                assert np.any(np.all(Phi == r.certificate, axis=1))
+                assert float(np.linalg.norm(r.certificate @ W)) == pytest.approx(
+                    r.value, rel=1e-12
+                )
+
+
+class TestSigmaPoint:
+    """sigma checks its one point as the exact norm does."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_rejected(self, kind, bad, rng):
+        fam = random_family(KINDS[kind], 3, rng)
+        with pytest.raises(NonFiniteInputError):
+            nl.sigma(fam, [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("shape", [(4,), (2,), (0, 3), (2, 3), (1, 4), ()])
+    def test_wrong_shape_is_a_dimension_mismatch(self, kind, shape, rng):
+        fam = random_family(KINDS[kind], 3, rng)
+        with pytest.raises(DimensionMismatchError):
+            nl.sigma(fam, np.ones(shape))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_a_single_row_is_the_vector(self, kind, rng):
+        fam = random_family(KINDS[kind], 3, rng)
+        x = rng.standard_normal(3)
+        a, b = nl.sigma(fam, x), nl.sigma(fam, x[None, :])
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.certificate.tobytes() == b.certificate.tobytes()
+        assert (a.method, a.lower_bound_only) == (b.method, b.lower_bound_only)
 
 
 class TestKhinchin:

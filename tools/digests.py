@@ -13,9 +13,10 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   and a 40-row polytope, whose points span several tiles at n = 16;
 * ``sigma/...``: ``nl.sigma`` at 64 seeded points (the first one zero)
   of l_inf, l1 (within its vertex cap, and over it with
-  ``lower_bound_beyond_cap``), l2, l3 and 6-row polytope families at
-  n = 1, 5 and 12, one line over the values, flags and certificates and
-  one (``.../method``) over the method labels;
+  ``lower_bound_beyond_cap``), l2, l3 and 6-row polytope families in R^3
+  and of l1 families in R^16 (``l1-m16``, whose 2^15 dual vertices span
+  two vertex blocks) at n = 1, 5 and 12, one line over the values, flags
+  and certificates and one (``.../method``) over the method labels;
 * ``net/...``: 252 greedy builds (l_inf, l1, l2 and l3 families at
   n = 1..5, theta 0.5, 0.6 and 1.0, budget None, 1, 2 and 30; polytope
   families at n = 4 and 5, the same thetas, budget None and 30), hashed
@@ -61,13 +62,13 @@ LP = {"linf": "inf", "l1": 1, "l2": 2, "l3": 3}
 POLYTOPE = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0.5, 2, -1]]
 
 
-def _space(kind: str):
-    return nl.polytope_space(POLYTOPE) if kind == "poly" else nl.lp_space(LP[kind], 3)
+def _space(kind: str, dim: int = 3):
+    return nl.polytope_space(POLYTOPE) if kind == "poly" else nl.lp_space(LP[kind], dim)
 
 
-def _vectors(kind: str, n: int) -> list:
+def _vectors(kind: str, n: int, dim: int = 3) -> list:
     seed = 1000 * (list(LP) + ["poly"]).index(kind) + n
-    return np.random.default_rng(seed).standard_normal((n, 3)).tolist()
+    return np.random.default_rng(seed).standard_normal((n, dim)).tolist()
 
 
 def exact_digests():
@@ -87,12 +88,13 @@ def exact_digests():
 
 
 def sigma_digests():
-    cases = [("linf", {}), ("l1", {}), ("l1-capped", {"vertex_cap": 2, "lower_bound_beyond_cap": True}),
-             ("l2", {}), ("l3", {}), ("poly", {})]
-    for label, caps in cases:
+    cases = [("linf", 3, {}), ("l1", 3, {}),
+             ("l1-capped", 3, {"vertex_cap": 2, "lower_bound_beyond_cap": True}),
+             ("l2", 3, {}), ("l3", 3, {}), ("poly", 3, {}), ("l1-m16", 16, {})]
+    for label, dim, caps in cases:
         kind = label.split("-")[0]
         for n in (1, 5, 12):
-            fam = nl.make_family(_space(kind), _vectors(kind, n))
+            fam = nl.make_family(_space(kind, dim), _vectors(kind, n, dim))
             X = np.random.default_rng(200 + n).standard_normal((64, n))
             X[0] = 0.0
             h, methods = hashlib.sha256(), hashlib.sha256()
