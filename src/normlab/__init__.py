@@ -75,7 +75,6 @@ from .spaces import (
     load_family,
     lp_space,
     make_family,
-    norming_functional,
     polytope_space,
     save_family,
     space_from_json,

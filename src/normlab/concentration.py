@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NormLabError
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP, half_enumeration_size, sample_sign_matrix
+from .signs import ENUMERATION_CAP, VERTEX_ENUM_CAP, half_enumeration_size, sample_sign_matrix
 from .spaces import VectorFamily
 from .symmetrize import (
     EmpiricalNormInstance,
@@ -28,7 +28,7 @@ from .symmetrize import (
     exact_unconditional_norm,
     iter_exact_value_blocks,
 )
-from .weakvar import VERTEX_ENUM_CAP, SigmaResult, sigma
+from .weakvar import SigmaResult, sigma
 
 ATOM_MERGE_TOL = 1e-12
 
@@ -107,13 +107,13 @@ class TailFit:
     skip_reason: str | None = None
 
 
-def default_t_grid(dist: ExactDistribution, points: int = 10) -> np.ndarray:
-    """A grid spanning the deviation range, from the bulk into the tail."""
+def default_t_grid(dist: ExactDistribution) -> np.ndarray:
+    """Ten points spanning the deviation range, from the bulk into the tail."""
     dev = np.abs(dist.values - dist.expectation)
     top = float(dev.max())
     if top <= 0.0:
         return np.array([1.0])
-    return np.linspace(0.2 * top, top, points)
+    return np.linspace(0.2 * top, top, 10)
 
 
 def tail_check(dist: ExactDistribution, t_grid=None) -> TailFit:
@@ -176,8 +176,7 @@ def amplification_check(
     frequency against N must be negative, and is asserted.
     """
     x = np.asarray(x, dtype=np.float64)
-    inst = NormInstance(family=family)
-    ex = exact_unconditional_norm(inst, x, max_n=max_n)
+    ex = exact_unconditional_norm(NormInstance(family=family, max_n=max_n), x)
     if not t > ex:
         raise ValueError(f"threshold t = {t} must exceed the expectation {ex}")
     if trials < 1:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .nets import NetPoints, certified_sup_bound
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP, SignMatrix, sample_sign_matrix
+from .signs import SignMatrix, sample_sign_matrix
 from .spaces import norming_functionals
 from .stats import descend, loglog_slope, quartiles, sweep
 from .symmetrize import (
@@ -33,7 +33,7 @@ from .symmetrize import (
     batch_empirical_norm,
     exact_unconditional_norm_many,
 )
-from .weakvar import KHINCHIN_CONSTANT, VERTEX_ENUM_CAP, weak_variances
+from .weakvar import KHINCHIN_CONSTANT, weak_variances
 
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
@@ -86,9 +86,7 @@ class DistortionReport:
     uv: UVStats | None
 
 
-def sphere_sample(
-    inst: NormInstance, count: int, seed: int, max_n: int = ENUMERATION_CAP
-) -> np.ndarray:
+def sphere_sample(inst: NormInstance, count: int, seed: int) -> np.ndarray:
     """Gaussian directions normalized to unit exact norm; rows are points."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -96,7 +94,7 @@ def sphere_sample(
         return np.zeros((0, inst.n))
     rng = np.random.default_rng(np.uint64(seed))
     g = rng.standard_normal((count, inst.n))
-    norms = exact_unconditional_norm_many(inst, g, max_n=max_n)
+    norms = exact_unconditional_norm_many(inst, g)
     return g / norms[:, None]
 
 
@@ -117,26 +115,23 @@ def run_trial(
     seed: int,
     probes: ProbeSpec | None = None,
     *,
-    N: int | None = None,
     signs=None,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = ENUMERATION_CAP,
-    vertex_cap: int = VERTEX_ENUM_CAP,
 ) -> DistortionReport:
     """One distortion trial; deterministic given (instance, seed, probes).
 
     ``signs`` may inject an explicit sign matrix (e.g. the full
-    enumeration) in place of sampling; N/xi are then taken from it.  An
-    l1 space wider than ``vertex_cap`` gets sampled lower bounds on sigma,
-    and its U/V split is marked tentative.
+    enumeration) in place of sampling; N/xi are then taken from it.  The
+    caps are the instance's: its ``max_n`` bounds every exact norm, and an
+    l1 space wider than its ``vertex_cap`` gets sampled lower bounds on
+    sigma, and its U/V split is marked tentative.
     """
     probes = probes or ProbeSpec()
     n = inst.n
     if signs is None:
-        if N is None:
-            if xi is None:
-                raise ValueError("one of xi, N, or signs is required")
-            N = SignMatrix.columns_for_xi(n, xi)
+        if xi is None:
+            raise ValueError("one of xi or signs is required")
+        N = SignMatrix.columns_for_xi(n, xi)
         if N < 1:
             raise ValueError(f"N = round((1+xi) n) must be >= 1, got {N}")
         signs = sample_sign_matrix(n, N, derive_seed(seed, 0), trial_index=None)
@@ -144,7 +139,7 @@ def run_trial(
     xi_actual = emp.xi
 
     net_pts = probes.net.points if probes.net is not None else np.zeros((0, n))
-    samples = sphere_sample(inst, probes.samples, derive_seed(seed, 1), max_n=max_n)
+    samples = sphere_sample(inst, probes.samples, derive_seed(seed, 1))
     X = np.vstack([net_pts, samples]) if net_pts.size else samples
     if X.shape[0] == 0:
         raise ValueError("probe set is empty: provide samples > 0 or a net")
@@ -167,7 +162,7 @@ def run_trial(
         Y, F = descend(
             start, min_est.value, start, probes.descent_steps, 1.0,
             subgradient=lambda S: _empirical_subgradients(inst.kernel, E, S),
-            norm=lambda C: exact_unconditional_norm_many(inst, C, max_n=max_n),
+            norm=lambda C: exact_unconditional_norm_many(inst, C),
             evaluate=lambda C: (batch_empirical_norm(emp, C), C),
         )
         if F[0] < min_est.value:
@@ -182,7 +177,7 @@ def run_trial(
         covering = bound.covering_status
 
     svals, _, lower_bound_only, _ = weak_variances(
-        inst.kernel, X, vertex_cap=vertex_cap, lower_bound_beyond_cap=True
+        inst.kernel, X, vertex_cap=inst.vertex_cap, lower_bound_beyond_cap=True
     )
     in_U = svals >= sigma0
     uv = UVStats(
@@ -240,16 +235,12 @@ def xi_sweep(
     probes: ProbeSpec | None = None,
     *,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = ENUMERATION_CAP,
-    vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> ConstantsProfile:
     """Trial quartiles of min/max estimates per xi, plus the small-xi slope."""
 
     def trial(xi: float, t: int, trial_seed: int) -> DistortionReport:
-        return run_trial(
-            inst, xi, trial_seed, probes, sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap
-        )
+        return run_trial(inst, xi, trial_seed, probes, sigma0=sigma0)
 
     by_xi = sweep(xi_list, trials, seed, trial, pool)
     rows = []
@@ -276,13 +267,8 @@ def run_trials(
     probes: ProbeSpec | None = None,
     *,
     sigma0: float = DEFAULT_SIGMA0,
-    max_n: int = ENUMERATION_CAP,
-    vertex_cap: int = VERTEX_ENUM_CAP,
     pool=None,
 ) -> list[DistortionReport]:
     """Independent trials with per-trial derived seeds: ``xi_sweep`` at one xi."""
-    profile = xi_sweep(
-        inst, [xi], trials, master_seed, probes,
-        sigma0=sigma0, max_n=max_n, vertex_cap=vertex_cap, pool=pool,
-    )
+    profile = xi_sweep(inst, [xi], trials, master_seed, probes, sigma0=sigma0, pool=pool)
     return profile.reports_by_xi[xi]

@@ -35,7 +35,7 @@ from . import distortion as dist
 from . import nets, scalar
 from .errors import ConfigError, NormLabError
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP, SignMatrix, enumeration_matrix, sample_sign_matrix
+from .signs import ENUMERATION_CAP, VERTEX_ENUM_CAP, SignMatrix, enumeration_matrix, sample_sign_matrix
 from .spaces import VectorFamily, load_family, make_family, space_from_json
 from .symmetrize import (
     EmpiricalNormInstance,
@@ -54,7 +54,7 @@ EXPERIMENTS = (
     "net-build",
 )
 
-DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": 20}
+DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": VERTEX_ENUM_CAP}
 
 
 # --- the config schema --------------------------------------------------------
@@ -264,22 +264,24 @@ class ExperimentConfig:
 
 _FAMILY = ("space", "vectors", "random_vectors", "family_file")
 _TRIAL_PROBES = ("probes", "probes/samples", "probes/descent_steps", "probes/net_file")
+_ENUM_CAP = ("caps", "caps/max_enum_n")
+_CAPS = (*_ENUM_CAP, "caps/max_dual_vertices_m")
 # experiment: (the fields it requires, the other fields it reads on some
 # path), besides experiment, master_seed, output and threads, which every
-# experiment reads; "probes/x" is the field x of probes.  A field that no
-# path of an experiment reads is rejected, and an experiment that reads
-# the family fields needs a family.
+# experiment reads; "probes/x" is the field x of probes, and "caps/x" that
+# of caps.  A field that no path of an experiment reads is rejected, and an
+# experiment that reads the family fields needs a family.
 _READS = {
-    "exact-norm": ((), (*_FAMILY, "points", "count", "caps")),
-    "empirical-norm": ((), (*_FAMILY, "xi", "N", "enumerate", "points", "count", "caps")),
-    "distortion": (("trials",), (*_FAMILY, "xi", "N", *_TRIAL_PROBES, "theta", "sigma0", "caps")),
-    "xi-sweep": (("xi_list", "trials"), (*_FAMILY, *_TRIAL_PROBES, "theta", "sigma0", "caps")),
+    "exact-norm": ((), (*_FAMILY, "points", "count", *_ENUM_CAP)),
+    "empirical-norm": ((), (*_FAMILY, "xi", "N", "enumerate", "points", "count", *_ENUM_CAP)),
+    "distortion": (("trials",), (*_FAMILY, "xi", "N", *_TRIAL_PROBES, "theta", "sigma0", *_CAPS)),
+    "xi-sweep": (("xi_list", "trials"), (*_FAMILY, *_TRIAL_PROBES, "theta", "sigma0", *_CAPS)),
     "scalar-sweep": (
         ("n", "xi_list", "trials"),
         ("probes", "probes/samples", "probes/descent_steps", "probes/restarts", "tau"),
     ),
-    "concentration": (("x",), (*_FAMILY, "t_grid", "N_list", "t", "trials", "caps")),
-    "net-build": (("theta",), (*_FAMILY, "budget", "caps")),
+    "concentration": (("x",), (*_FAMILY, "t_grid", "N_list", "t", "trials", *_CAPS)),
+    "net-build": (("theta",), (*_FAMILY, "budget", *_ENUM_CAP)),
 }
 # experiments that map their trials over a pool of ``threads`` workers
 _POOLED = {"distortion", "xi-sweep", "scalar-sweep"}
@@ -351,7 +353,7 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
                 f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path
             )
     reads = {"experiment", "master_seed", "output", "threads", *required, *optional}
-    for fld in (*doc, *(f"probes/{k}" for k in doc.get("probes", ()))):
+    for fld in (*doc, *(f"{k}/{sub}" for k in ("probes", "caps") for sub in doc.get(k, ()))):
         if fld not in reads:
             msg = f"config field '{fld}' has no effect: experiment '{exp}' does not read it"
             raise ConfigError(msg, field=fld, path=path)
@@ -557,11 +559,18 @@ def _resolve_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
 
 # --- experiment runners -------------------------------------------------------
 
+def _instance(cfg: ExperimentConfig) -> NormInstance:
+    """The run's one prepared norm: the config's family under its caps."""
+    caps = cfg.caps
+    return NormInstance(
+        resolve_family(cfg), max_n=caps["max_enum_n"], vertex_cap=caps["max_dual_vertices_m"]
+    )
+
+
 def _run_exact_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
-    inst = NormInstance(family=family)
+    inst = _instance(cfg)
     X = _resolve_points(cfg, inst.n)
-    vals = exact_unconditional_norm_many(inst, X, max_n=cfg.caps["max_enum_n"])
+    vals = exact_unconditional_norm_many(inst, X)
     rows = [[i, vals[i], X[i]] for i in range(X.shape[0])]
     results = {
         "points": X.shape[0],
@@ -572,21 +581,20 @@ def _run_exact_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_empirical_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
-    inst = NormInstance(family=family)
+    inst = _instance(cfg)
     n = inst.n
     if cfg.raw.get("enumerate"):
-        signs = enumeration_matrix(n, cap=cfg.caps["max_enum_n"])
+        signs = enumeration_matrix(n, cap=inst.max_n)
     else:
         N, _ = resolve_N(cfg.raw, n, path=cfg.path)
         signs = sample_sign_matrix(n, N, derive_seed(cfg.master_seed, 0))
-    emp = EmpiricalNormInstance(family=family, signs=signs)
+    emp = EmpiricalNormInstance(family=inst.family, signs=signs)
     X = _resolve_points(cfg, n)
     emp_vals = batch_empirical_norm(emp, X)
     rows, header = [], ["index", "empirical_norm", "point"]
     results: dict = {"N": emp.N, "xi": emp.xi, "points": X.shape[0]}
     if cfg.raw.get("enumerate"):
-        exact_vals = exact_unconditional_norm_many(inst, X, max_n=cfg.caps["max_enum_n"])
+        exact_vals = exact_unconditional_norm_many(inst, X)
         deltas = np.abs(emp_vals - exact_vals)
         header = ["index", "empirical_norm", "exact_norm", "abs_delta", "point"]
         rows = [[i, emp_vals[i], exact_vals[i], deltas[i], X[i]] for i in range(X.shape[0])]
@@ -614,7 +622,7 @@ def _aggregate(rows) -> Table:
 
 def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     """``xi-sweep``, and ``distortion`` as the sweep of its one resolved xi."""
-    inst = NormInstance(family=resolve_family(cfg))
+    inst = _instance(cfg)
     if cfg.experiment == "distortion":
         # the xi of N = round((1+xi) n), whose bits the trial seeds derive from
         xi_list = [resolve_N(cfg.raw, inst.n, path=cfg.path)[1]]
@@ -635,8 +643,6 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
             cfg.master_seed,
             probes,
             sigma0=sigma0,
-            max_n=cfg.caps["max_enum_n"],
-            vertex_cap=cfg.caps["max_dual_vertices_m"],
             pool=pool,
         )
     by_xi = profile.reports_by_xi
@@ -734,15 +740,8 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_net_build(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
-    inst = NormInstance(family=family)
-    net = nets.build_net(
-        inst,
-        cfg.raw["theta"],
-        budget=cfg.raw.get("budget"),
-        seed=cfg.master_seed,
-        max_n=cfg.caps["max_enum_n"],
-    )
+    inst = _instance(cfg)
+    net = nets.build_net(inst, cfg.raw["theta"], budget=cfg.raw.get("budget"), seed=cfg.master_seed)
     net_path = out / "net.json"
     nets.save_net(net, net_path)
     results = {

@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import CoveringViolationError
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP
 from .symmetrize import (
     EmpiricalNormInstance,
     NormInstance,
@@ -66,6 +65,8 @@ _NEAREST = 2
 _CALL_SUMS = 1 << 14
 _CALL_FLOOR = 256
 _GRAM = 1 << 20
+# how far from 1 the exact norm of a point that net_decompose peels may be
+_UNIT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,7 @@ class NetDecomposition:
     residual_norm: float
 
 
-def _far_from(
-    inst: NormInstance, X: np.ndarray, base: np.ndarray, threshold: float, max_n: int
-) -> np.ndarray:
+def _far_from(inst: NormInstance, X: np.ndarray, base: np.ndarray, threshold: float) -> np.ndarray:
     """Per row of X: is every point of ``base`` farther than ``threshold``?
 
     Distances are exact norms.  The rows meet their base points nearest in
@@ -125,7 +124,7 @@ def _far_from(
             if not left.size:
                 break
             near = G.argmin(axis=1)
-            d = exact_unconditional_norm_many(inst, B[left] - base[near], max_n=max_n)
+            d = exact_unconditional_norm_many(inst, B[left] - base[near])
             miss = d > threshold
             left, G = left[miss], G[miss]
             G[np.arange(left.size), near[miss]] = np.inf
@@ -133,9 +132,7 @@ def _far_from(
         ok[left] = True
         for r in range(0, left.size if _NEAREST < m else 0, rows):
             idx = left[r : r + rows]
-            D = exact_unconditional_norm_many(
-                inst, (B[idx, None] - base).reshape(-1, n), max_n=max_n
-            )
+            D = exact_unconditional_norm_many(inst, (B[idx, None] - base).reshape(-1, n))
             ok[idx] = (D.reshape(idx.size, m) > threshold).all(axis=1)
         far[s : s + ok.size] = ok
     return far
@@ -147,9 +144,9 @@ def _call_points(n: int) -> int:
     return max(_CALL_FLOOR, _CALL_SUMS >> (n - 1))
 
 
-def _unit(inst: NormInstance, X: np.ndarray, max_n: int) -> np.ndarray:
+def _unit(inst: NormInstance, X: np.ndarray) -> np.ndarray:
     """The rows of X scaled to unit exact norm, in one kernel call."""
-    return X / exact_unconditional_norm_many(inst, X, max_n=max_n)[:, None]
+    return X / exact_unconditional_norm_many(inst, X)[:, None]
 
 
 def _grid_directions(n: int) -> np.ndarray | None:
@@ -180,9 +177,6 @@ def build_net(
     theta: float,
     budget: int | None = None,
     seed: int = 0,
-    *,
-    max_n: int = ENUMERATION_CAP,
-    grid_certify: bool = True,
 ) -> NetPoints:
     """Greedy maximal theta-separated set on the unit sphere.
 
@@ -215,7 +209,7 @@ def build_net(
         # candidates still far in one kernel call; the decisions are those
         # of the sequential greedy order
         nonlocal net, size, rejects, spent
-        todo = np.flatnonzero(_far_from(inst, cands, net[:size], theta, max_n))
+        todo = np.flatnonzero(_far_from(inst, cands, net[:size], theta))
         stop = effective_budget()
         pos = 0  # the first candidate not yet decided
         while todo.size:
@@ -232,24 +226,24 @@ def build_net(
             pos = j + 1
             todo = todo[1:]
             if todo.size:
-                todo = todo[exact_unconditional_norm_many(inst, cands[todo] - c, max_n=max_n) > theta]
+                todo = todo[exact_unconditional_norm_many(inst, cands[todo] - c) > theta]
         reject_run(cands.shape[0] - pos, stop)
 
-    offer_batch(_unit(inst, np.vstack([np.eye(n), -np.eye(n)]), max_n))
+    offer_batch(_unit(inst, np.vstack([np.eye(n), -np.eye(n)])))
     while (left := effective_budget() - rejects) > 0:
         # one exact-norm call's worth of candidates, never past the stop rule
-        offer_batch(_unit(inst, rng.standard_normal((min(_call_points(n), left), n)), max_n))
+        offer_batch(_unit(inst, rng.standard_normal((min(_call_points(n), left), n))))
 
     status = COVERING_HEURISTIC
-    if grid_certify and n <= 3:
+    if n <= 3:
         # grid misses are themselves theta-separated from the net, so they
         # extend the candidate stream; iterate until the grid is covered.
         # A covered grid point stays covered, so each pass checks only the
         # last pass's misses, against the net points that pass added
-        misses = _unit(inst, _grid_directions(n), max_n)
+        misses = _unit(inst, _grid_directions(n))
         seen = 0  # net[:seen] is already checked against every miss
         for _ in range(misses.shape[0]):
-            misses = misses[_far_from(inst, misses, net[seen:size], theta + 1e-12, max_n)]
+            misses = misses[_far_from(inst, misses, net[seen:size], theta + 1e-12)]
             if misses.shape[0] == 0:
                 status = COVERING_CERTIFIED
                 break
@@ -272,9 +266,6 @@ def net_decompose(
     net: NetPoints,
     x,
     K: int,
-    *,
-    max_n: int = ENUMERATION_CAP,
-    unit_tol: float = 1e-7,
 ) -> NetDecomposition:
     """Peel x into sum_k a_k x^(k) over a 1/2-net, |a_k| <= 2^(1-k).
 
@@ -284,8 +275,8 @@ def net_decompose(
     ``CoveringViolationError`` carrying the witness direction.
     """
     x = np.asarray(x, dtype=np.float64)
-    nx = float(exact_unconditional_norm_many(inst, x[None, :], max_n=max_n)[0])
-    if abs(nx - 1.0) > unit_tol:
+    nx = float(exact_unconditional_norm_many(inst, x[None, :])[0])
+    if abs(nx - 1.0) > _UNIT_TOL:
         raise ValueError(f"x must be a unit vector of the averaged norm; got |||x||| = {nx}")
     coeffs: list[float] = []
     idxs: list[int] = []
@@ -295,7 +286,7 @@ def net_decompose(
         if rnorm <= 1e-15:
             break
         unit = r / rnorm
-        d = exact_unconditional_norm_many(inst, unit[None, :] - net.points, max_n=max_n)
+        d = exact_unconditional_norm_many(inst, unit[None, :] - net.points)
         j = int(np.argmin(d))
         if d[j] > net.theta + 1e-12:
             raise CoveringViolationError(
@@ -308,7 +299,7 @@ def net_decompose(
         coeffs.append(rnorm)
         idxs.append(j)
         r = r - rnorm * net.points[j]
-        rnorm = float(exact_unconditional_norm_many(inst, r[None, :], max_n=max_n)[0])
+        rnorm = float(exact_unconditional_norm_many(inst, r[None, :])[0])
     return NetDecomposition(
         coefficients=coeffs,
         indices=idxs,

@@ -21,6 +21,10 @@ from .errors import CapacityError, DimensionMismatchError
 # kernel and the ``max_enum_n`` of configs
 ENUMERATION_CAP = 22
 
+# default cap on the dual-cube dimension m of an exact l1 weak variance
+# (2^(m-1) dual vertices): the ``max_dual_vertices_m`` of configs
+VERTEX_ENUM_CAP = 20
+
 # default cap on n*N entries of a sampled matrix (~8 MiB packed)
 SAMPLE_ENTRY_CAP = 1 << 26
 
@@ -46,7 +50,7 @@ class SignMatrix:
         self._dense = None
 
     @classmethod
-    def from_dense(cls, entries, seed_record: SeedRecord | None = None) -> "SignMatrix":
+    def from_dense(cls, entries) -> "SignMatrix":
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatchError("sign matrix must be 2-d with positive shape")
@@ -55,7 +59,7 @@ class SignMatrix:
         bits = (arr > 0).astype(np.uint8)
         packed = np.packbits(bits.reshape(-1))
         packed.setflags(write=False)
-        return cls(packed, arr.shape[0], arr.shape[1], seed_record)
+        return cls(packed, arr.shape[0], arr.shape[1], None)
 
     def dense(self) -> np.ndarray:
         """The matrix as float64 +-1 entries (cached, read-only)."""
@@ -91,7 +95,6 @@ def sample_sign_matrix(
     N: int,
     seed: int,
     *,
-    entry_cap: int = SAMPLE_ENTRY_CAP,
     trial_index: int | None = None,
 ) -> SignMatrix:
     """Draw an n x N matrix of i.i.d. uniform signs from a PCG64 stream.
@@ -100,8 +103,8 @@ def sample_sign_matrix(
     """
     if n < 1 or N < 1:
         raise ValueError(f"matrix dimensions must be positive, got n={n}, N={N}")
-    if n * N > entry_cap:
-        raise CapacityError(f"n*N = {n * N} exceeds the entry cap {entry_cap}")
+    if n * N > SAMPLE_ENTRY_CAP:
+        raise CapacityError(f"n*N = {n * N} exceeds the entry cap {SAMPLE_ENTRY_CAP}")
     rng = np.random.default_rng(np.uint64(seed))
     bits = rng.integers(0, 2, size=n * N, dtype=np.uint8)
     packed = np.packbits(bits)

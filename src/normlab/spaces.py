@@ -148,11 +148,6 @@ def norming_functionals(space: NormSpec, U) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def norming_functional(space: NormSpec, u) -> np.ndarray:
-    """``norming_functionals`` of the one vector u."""
-    return norming_functionals(space, np.asarray(u, dtype=np.float64)[:, None])[:, 0]
-
-
 @dataclass(frozen=True)
 class VectorFamily:
     """The nonzero vectors v_1..v_n as columns of an m x n matrix."""

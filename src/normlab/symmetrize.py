@@ -7,7 +7,10 @@ exactly once, the two coincide: that identity is the cornerstone oracle
 for everything downstream.
 
 Prepared kernel: ``NormKernel`` holds what depends only on the family and
-is built once per ``NormInstance`` and ``EmpiricalNormInstance``.  For
+is built once per ``NormInstance`` and ``EmpiricalNormInstance``.  A
+``NormInstance`` also carries its run's caps (``max_n`` for the exact
+norm, ``vertex_cap`` for the l1 weak variance): the functions that take
+an instance read them there, and no cap travels beside it.  For
 each functional row r_k of the norm (coordinates for lp, functionals for
 polytope) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k>, so the kernel
 keeps the rows, the combine mode, the divisor 2^(n-1) and, for n <= 9, the
@@ -45,6 +48,7 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError, NonFiniteInputError
 from .signs import (
     ENUMERATION_CAP,
+    VERTEX_ENUM_CAP,
     SignMatrix,
     gray_sign_block,
     half_enumeration_size,
@@ -217,9 +221,17 @@ class NormKernel:
 
 @dataclass(frozen=True)
 class NormInstance:
-    """The map x -> average of ||sum eps_i x_i v_i|| over all sign patterns."""
+    """The map x -> average of ||sum eps_i x_i v_i|| over all sign patterns.
+
+    ``max_n`` caps the exact enumeration: the exact norm raises
+    CapacityError past it, so an instance that never enumerates may be
+    wider.  ``vertex_cap`` is the widest l1 space whose weak variance is
+    exact (``weakvar.weak_variances``).
+    """
 
     family: VectorFamily
+    max_n: int = ENUMERATION_CAP
+    vertex_cap: int = VERTEX_ENUM_CAP
     kernel: NormKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -364,22 +376,19 @@ def iter_exact_value_blocks(
         yield tile[0]
 
 
-def exact_unconditional_norm(
-    inst: NormInstance, x, max_n: int = ENUMERATION_CAP
-) -> float:
+def exact_unconditional_norm(inst: NormInstance, x) -> float:
     """Average of ||sum eps_i x_i v_i|| over all 2^n sign patterns, exactly.
 
     The batched kernel on a batch of one point, so the two agree bit for bit.
     """
-    return float(exact_unconditional_norm_many(inst, _check_points(inst.n, x, one=True), max_n)[0])
+    return float(exact_unconditional_norm_many(inst, _check_points(inst.n, x, one=True))[0])
 
 
-def exact_unconditional_norm_many(
-    inst: NormInstance, X, max_n: int = ENUMERATION_CAP
-) -> np.ndarray:
-    """Vectorized exact norm over the rows of X (shape (P, n))."""
+def exact_unconditional_norm_many(inst: NormInstance, X) -> np.ndarray:
+    """Vectorized exact norm over the rows of X (shape (P, n)), within the
+    instance's ``max_n``."""
     kernel = inst.kernel
-    _enum_guard(kernel.n, max_n)
+    _enum_guard(kernel.n, inst.max_n)
     return kernel.exact(_check_points(kernel.n, X))
 
 

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .signs import ENUMERATION_CAP, half_enumeration_size, half_gray_sign_block
+from .signs import VERTEX_ENUM_CAP, half_enumeration_size, half_gray_sign_block
 from .spaces import NormSpec, VectorFamily, lp_space, norming_functionals
 from .symmetrize import _BUFFER, _GEMM_BLOCK, NormInstance, NormKernel, _check_points
 from .symmetrize import _gemm_rows, exact_unconditional_norm
 
 # optimal constant in the L1 Khinchin inequality (Szarek)
 KHINCHIN_CONSTANT = math.sqrt(2.0)
-
-# vertex enumeration refuses exactness beyond this dual-cube dimension
-VERTEX_ENUM_CAP = 20
 
 # dual-cube vertices per block of the extreme-point scan
 _VERTEX_BLOCK = 1 << 14
@@ -43,12 +40,12 @@ _POWER_MAXITER = 20000
 _SVD_CUTOFF = 128
 
 
-def largest_singular_value(W: np.ndarray, tol: float = _POWER_TOL) -> tuple[float, np.ndarray]:
+def largest_singular_value(W: np.ndarray) -> tuple[float, np.ndarray]:
     """(s_max, left singular vector) of W.
 
     Exact LAPACK factorization at small sizes; deterministic power
     iteration on the smaller Gram matrix above the cutoff (all-ones start,
-    relative tolerance ``tol`` on the Rayleigh quotient).
+    relative tolerance ``_POWER_TOL`` on the Rayleigh quotient).
     """
     W = np.asarray(W, dtype=np.float64)
     m, n = W.shape
@@ -70,7 +67,7 @@ def largest_singular_value(W: np.ndarray, tol: float = _POWER_TOL) -> tuple[floa
             return 0.0, np.zeros(m)
         v = w / nw
         lam_new = float(v @ (G @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new
@@ -132,7 +129,7 @@ def weak_variances(
         raise CapacityError(f"l1 weak variance needs 2^{m} dual vertices; cap is m <= {vertex_cap}")
     pairs = [_sampled_lower_bound(kernel.space, V * x) for x in X]
     values = np.array([value for value, _ in pairs])
-    certificates = np.array([cert for _, cert in pairs])
+    certificates = np.array([cert for _, cert in pairs]).reshape(P, m)  # (0, m) when empty
     return values, certificates, ~flags, "sampled-lower-bound"
 
 
@@ -208,7 +205,7 @@ class KhinchinBounds:
     upper: float
 
 
-def khinchin_bounds(y, max_n: int = ENUMERATION_CAP) -> KhinchinBounds:
+def khinchin_bounds(y) -> KhinchinBounds:
     """Exact Rademacher average of a scalar form with its classical sandwich.
 
     The average E|sum eps_i y_i| is the exact unconditional norm at y of n
@@ -216,7 +213,7 @@ def khinchin_bounds(y, max_n: int = ENUMERATION_CAP) -> KhinchinBounds:
     """
     y = np.asarray(y, dtype=np.float64)
     ones = VectorFamily(space=lp_space(1, 1), columns=np.ones((1, y.shape[0])))
-    exact = exact_unconditional_norm(NormInstance(family=ones), y, max_n=max_n)
+    exact = exact_unconditional_norm(NormInstance(family=ones), y)
     l2 = float(np.linalg.norm(y))
     return KhinchinBounds(lower=l2 / KHINCHIN_CONSTANT, exact=exact, upper=l2)
 
@@ -231,16 +228,15 @@ class VarianceRatio:
     lower_bound_only: bool
 
 
-def variance_norm_ratio(
-    inst: NormInstance, x, max_n: int = ENUMERATION_CAP, **sigma_kwargs
-) -> VarianceRatio:
-    """Both sides of the weak-variance bound sigma(x) <= sqrt(2) |||x|||.
+def variance_norm_ratio(inst: NormInstance, x) -> VarianceRatio:
+    """Both sides of the weak-variance bound sigma(x) <= sqrt(2) |||x|||,
+    within the instance's caps.
 
     The caller asserts ratio <= sqrt(2) (+ float slack); when sigma is
     only a lower bound the inequality still must hold for it.
     """
-    sr = sigma(inst.family, x, **sigma_kwargs)
-    tn = exact_unconditional_norm(inst, x, max_n=max_n)
+    sr = sigma(inst.family, x, vertex_cap=inst.vertex_cap)
+    tn = exact_unconditional_norm(inst, x)
     ratio = sr.value / tn if tn > 0.0 else 0.0
     return VarianceRatio(
         sigma=sr, unconditional_norm=tn, ratio=ratio, lower_bound_only=sr.lower_bound_only

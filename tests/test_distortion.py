@@ -191,7 +191,7 @@ class TestDescentReference:
         fam = nl.make_family(_reference_space(kind, m, rng), rng.standard_normal((n, m)))
         inst = nl.NormInstance(family=fam)
         signs = nl.sample_sign_matrix(n, int(rng.integers(1, 2 * n + 2)), seed)
-        net = nl.build_net(inst, 1.0, seed=seed, grid_certify=False) if with_net or samples == 0 else None
+        net = nl.build_net(inst, 1.0, seed=seed) if with_net or samples == 0 else None
         probes = nl.ProbeSpec(samples=samples, descent_steps=0, net=net)
         scan = nl.run_trial(inst, None, seed, probes, signs=signs).min_estimate
         got = nl.run_trial(inst, None, seed, nl.ProbeSpec(samples, steps, net), signs=signs).min_estimate

@@ -1,0 +1,37 @@
+"""The exact/, sigma/ and net/ digests of ``tools/digests.py`` keep their bits.
+
+``tests/golden_digests.txt`` holds them with the numpy and BLAS build they
+were made on.  Bits depend on the BLAS kernels, so on another build the test
+skips, naming both builds.  After an intended change of these outputs,
+regenerate the file as the tool's docstring says; its diff then shows which
+outputs moved.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILD = "# made on "
+
+
+def test_exact_sigma_and_net_digests_keep_their_bits():
+    want = (ROOT / "tests" / "golden_digests.txt").read_text(encoding="utf-8").splitlines()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digests.py"), "--golden"],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    got = proc.stdout.splitlines()
+    made = next(line for line in want if line.startswith(BUILD))[len(BUILD):]
+    here = next(line for line in got if line.startswith(BUILD))[len(BUILD):]
+    if made != here:
+        pytest.skip(f"the golden digests were made on {made}; this is {here}")
+    moved = [w.split()[0] for w, g in zip(want, got) if w != g]
+    assert not moved, f"{len(moved)} digests moved, the first: {moved[:5]}"
+    assert len(got) == len(want)

@@ -52,11 +52,12 @@ FIELD_VALUES = {
     "tau": 0.1, "xi": 0.5, "xi_list": [0.5], "N": 3, "n": 3, "budget": 3, "count": 2,
     "x": [1.0], "t": 1.0, "N_list": [2], "enumerate": True, "points": [[1.0]], "sigma0": 0.5,
     "theta": 0.5, "space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1.0, 0.0]],
+    "caps/max_dual_vertices_m": 3,
 }
 # experiment: (a valid config's own fields, fields that no path of it reads)
 UNREAD = {
-    "exact-norm": ({}, ["xi"]),
-    "empirical-norm": ({"xi": 0.5}, ["theta"]),
+    "exact-norm": ({}, ["xi", "caps/max_dual_vertices_m"]),
+    "empirical-norm": ({"xi": 0.5}, ["theta", "caps/max_dual_vertices_m"]),
     "distortion": (
         {"xi": 0.5, "trials": 1},
         ["tau", "xi_list", "budget", "count", "n", "x", "t", "N_list", "enumerate", "points"],
@@ -71,7 +72,7 @@ UNREAD = {
          "points", "space", "vectors", "probes/net_file"],
     ),
     "concentration": ({"x": [1.0] * 6}, ["budget"]),
-    "net-build": ({"theta": 0.5}, ["count"]),
+    "net-build": ({"theta": 0.5}, ["count", "caps/max_dual_vertices_m"]),
 }
 
 
@@ -217,9 +218,14 @@ class TestConfigValidation:
         validate_config(doc, experiment=experiment)
         if field == "probes/net_file":
             nl.save_net(nl.NetPoints(0.5, np.eye(3)[:1], True, "heuristic", 1), tmp_path / "net.json")
-            doc["probes"] = {**doc["probes"], "net_file": str(tmp_path / "net.json")}
+            value = str(tmp_path / "net.json")
         else:
-            doc[field] = FIELD_VALUES[field]
+            value = FIELD_VALUES[field]
+        if "/" in field:  # a field of probes or caps
+            parent, sub = field.split("/")
+            doc[parent] = {**doc.get(parent, {}), sub: value}
+        else:
+            doc[field] = value
         cfg = write_json(tmp_path / "c.json", doc)
         assert cli_main([experiment, "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -549,7 +555,38 @@ class TestCli:
         assert validate_config({**doc, "threads": 1}, experiment="net-build").threads == 1
 
 
+# every experiment that enumerates sign patterns: (a valid config's own
+# fields on the 6-vector family, the message of its cap at max_enum_n = 5)
+ENUMERATING = {
+    "exact-norm": ({}, "exact enumeration needs 2^6 sign patterns; cap is n <= 5"),
+    "empirical-norm": ({"enumerate": True}, "enumeration matrix for n=6 exceeds cap n <= 5"),
+    "distortion": (
+        {"xi": 0.5, "trials": 1, "probes": {"samples": 4, "descent_steps": 1}},
+        "exact enumeration needs 2^6 sign patterns; cap is n <= 5",
+    ),
+    "xi-sweep": (
+        {"xi_list": [0.5], "trials": 1, "probes": {"samples": 4, "descent_steps": 1}},
+        "exact enumeration needs 2^6 sign patterns; cap is n <= 5",
+    ),
+    "concentration": ({"x": [1.0] * 6}, "exact enumeration needs 2^6 sign patterns; cap is n <= 5"),
+    "net-build": ({"theta": 1.0}, "exact enumeration needs 2^6 sign patterns; cap is n <= 5"),
+}
+
+
 class TestCaps:
+    @pytest.mark.parametrize("max_enum_n", [5, 6])
+    @pytest.mark.parametrize("experiment", sorted(ENUMERATING))
+    def test_enumeration_cap_below_n_exits_3(
+        self, tmp_path, family_file, capsys, experiment, max_enum_n
+    ):
+        own, message = ENUMERATING[experiment]
+        doc = base_config(tmp_path, family_file, caps={"max_enum_n": max_enum_n}, **own)
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main([experiment, "--config", cfg]) == (3 if max_enum_n < 6 else 0)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (message in err) == (max_enum_n < 6)
+
     @pytest.mark.parametrize("experiment", ["distortion", "xi-sweep"])
     def test_dual_vertex_cap_below_m_marks_the_split_tentative(self, tmp_path, rng, experiment):
         fam = nl.make_family(nl.lp_space(1, 4), rng.standard_normal((5, 4)))
@@ -574,7 +611,6 @@ class TestCaps:
         [
             ({}, 0, None),
             ({"max_dual_vertices_m": 3}, 3, "2^4 dual vertices"),
-            ({"max_enum_n": 4}, 3, "2^5 sign patterns"),
         ],
     )
     def test_concentration_keeps_both_caps(self, tmp_path, rng, capsys, caps, code, message):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import normlab as nl
 from normlab import symmetrize
-from normlab.spaces import norming_functional, norming_functionals
+from normlab.spaces import norming_functionals
 from normlab.weakvar import sigma, weak_variances
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -144,7 +144,7 @@ def test_norming_functional_of_a_column_does_not_depend_on_its_batch(kind, m, K,
     Phi = norming_functionals(space, U)
     assert Phi.shape == U.shape and Phi.flags.c_contiguous
     for j in range(N):
-        assert Phi[:, j].tobytes() == norming_functional(space, U[:, j]).tobytes()
+        assert Phi[:, j].tobytes() == norming_functionals(space, U[:, j, None])[:, 0].tobytes()
 
 
 @PROPS
@@ -182,3 +182,13 @@ def test_weak_variance_of_a_point_does_not_depend_on_its_batch(kind, m, K, n, P,
         assert alone.method == method and alone.lower_bound_only == flags[i]
         assert np.float64(alone.value).tobytes() == values[i].tobytes()
         assert alone.certificate.tobytes() == certs[i].tobytes()
+
+
+@pytest.mark.parametrize("kind, capped", [(kind, False) for kind in KINDS] + [("l1", True)])
+def test_weak_variances_of_an_empty_batch(kind, capped):
+    # every path, the sampled one too, keeps the shapes of a batch of points
+    m = 3
+    fam = _family(kind, m, 4, 5, np.random.default_rng(0))
+    caps = {"vertex_cap": m - 1 if capped else m, "lower_bound_beyond_cap": True}
+    values, certs, flags, _ = weak_variances(nl.NormInstance(family=fam).kernel, np.zeros((0, 5)), **caps)
+    assert values.shape == flags.shape == (0,) and certs.shape == (0, m)

@@ -286,7 +286,7 @@ class TestAgainstNaiveGreedy:
         d = nl.exact_unconditional_norm_many(inst, diffs.reshape(-1, n)).reshape(len(X), -1)
         euclid = np.square(diffs).sum(axis=2)
         assert (d.argmin(axis=1) != euclid.argmin(axis=1)).mean() > 0.2
-        far = nets._far_from(inst, X, pts, theta, nets.ENUMERATION_CAP)
+        far = nets._far_from(inst, X, pts, theta)
         assert np.array_equal(far, (d > theta).all(axis=1))
         net = nl.build_net(inst, theta, budget=budget, seed=n)
         assert np.array_equal(net.points, pts)

@@ -245,11 +245,11 @@ class TestSplitKernel:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_capacity_at_max_n(self, rng):
-        inst = nl.NormInstance(family=random_family(nl.lp_space(2, 3), 10, rng))
+        fam = random_family(nl.lp_space(2, 3), 10, rng)
         X = rng.standard_normal((3, 10))
-        assert nl.exact_unconditional_norm_many(inst, X, max_n=10).shape == (3,)
+        assert nl.exact_unconditional_norm_many(nl.NormInstance(fam, max_n=10), X).shape == (3,)
         with pytest.raises(CapacityError):
-            nl.exact_unconditional_norm_many(inst, X, max_n=9)
+            nl.exact_unconditional_norm_many(nl.NormInstance(fam, max_n=9), X)
 
 
 class TestExactNorm:
@@ -317,9 +317,9 @@ class TestExactNorm:
             assert many[i] == pytest.approx(nl.exact_unconditional_norm(inst, x), rel=1e-12)
 
     def test_enumeration_cap(self, dim1_double):
-        inst = nl.NormInstance(family=dim1_double)
+        inst = nl.NormInstance(family=dim1_double, max_n=1)
         with pytest.raises(CapacityError):
-            nl.exact_unconditional_norm(inst, [1.0, 1.0], max_n=1)
+            nl.exact_unconditional_norm(inst, [1.0, 1.0])
 
 
 class TestEmpiricalNorm:
@@ -420,3 +420,33 @@ class TestOnePointCalls:
         with pytest.raises(DimensionMismatchError) as err:
             calls[call](rng.standard_normal((rows, 8)))
         assert err.value.got == rows
+
+
+# every function that takes a NormInstance, called on one of n = 3 vectors
+# at a unit point x of the uncapped norm; a net of the uncapped norm for
+# net_decompose
+INSTANCE_CALLS = {
+    "exact_unconditional_norm": lambda inst, x, net: nl.exact_unconditional_norm(inst, x),
+    "exact_unconditional_norm_many": lambda inst, x, net: nl.exact_unconditional_norm_many(inst, x[None]),
+    "sphere_sample": lambda inst, x, net: nl.sphere_sample(inst, 4, seed=1),
+    "run_trial": lambda inst, x, net: nl.run_trial(inst, 0.5, 1, nl.ProbeSpec(samples=4, descent_steps=2)),
+    "build_net": lambda inst, x, net: nl.build_net(inst, 1.0, seed=1),
+    "net_decompose": lambda inst, x, net: nl.net_decompose(inst, net, x, K=2),
+    "variance_norm_ratio": lambda inst, x, net: nl.variance_norm_ratio(inst, x),
+}
+
+
+@pytest.mark.parametrize("max_n", [2, 3])
+@pytest.mark.parametrize("name", sorted(INSTANCE_CALLS))
+def test_instance_functions_keep_the_instance_cap(name, max_n):
+    fam = nl.make_family(nl.lp_space("inf", 2), np.random.default_rng(3).standard_normal((3, 2)))
+    uncapped = nl.NormInstance(fam)
+    x = nl.sphere_sample(uncapped, 1, seed=2)[0]
+    net = nl.build_net(uncapped, 1.0, seed=1)
+    call = INSTANCE_CALLS[name]
+    inst = nl.NormInstance(fam, max_n=max_n)  # an instance past its cap is still made
+    if max_n < fam.n:
+        with pytest.raises(CapacityError, match=r"needs 2\^3 sign patterns; cap is n <= 2"):
+            call(inst, x, net)
+    else:
+        call(inst, x, net)

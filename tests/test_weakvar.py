@@ -240,6 +240,14 @@ class TestVarianceNormRatio:
             r = nl.variance_norm_ratio(inst, rng.standard_normal(6))
             assert r.ratio <= SQRT2 + 1e-9
 
+    def test_l1_reads_the_instance_vertex_cap(self, rng):
+        fam = random_family(nl.lp_space(1, 4), 5, rng)
+        x = rng.standard_normal(5)
+        r = nl.variance_norm_ratio(nl.NormInstance(fam, vertex_cap=4), x)
+        assert r.sigma.method == "vertex-enumeration" and not r.lower_bound_only
+        with pytest.raises(CapacityError, match=r"2\^4 dual vertices; cap is m <= 3"):
+            nl.variance_norm_ratio(nl.NormInstance(fam, vertex_cap=3), x)
+
 
 class TestLargestSingularValue:
     def test_matches_lapack_small(self, rng):

@@ -36,13 +36,22 @@ diffing the outputs is the byte-identity check of a change to the kernels:
 one part, and ``--match PREFIX`` only the experiments whose label starts
 with PREFIX.
 The whole run takes a few minutes on two cores.
+
+``--golden`` prints the ``exact/``, ``sigma/`` and ``net/`` lines after a
+header that names the numpy and BLAS build they were made on (about 10 s).
+That is the committed file ``tests/golden_digests.txt``, which a test
+recomputes.  After an intended change of those outputs, regenerate it with
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/digests.py --golden > tests/golden_digests.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +78,24 @@ def _space(kind: str, dim: int = 3):
 def _vectors(kind: str, n: int, dim: int = 3) -> list:
     seed = 1000 * (list(LP) + ["poly"]).index(kind) + n
     return np.random.default_rng(seed).standard_normal((n, dim)).tolist()
+
+
+GOLDEN_BUILD = "# made on "
+
+
+def build() -> str:
+    """numpy's version, its BLAS, and the core whose kernels OpenBLAS runs:
+    a DYNAMIC_ARCH OpenBLAS picks its kernels by the CPU at load, and the
+    kernels of two cores need not round alike."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "core unknown"
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(ctypes.CDLL(str(lib)), name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                core = get().decode()
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {core}"
 
 
 def exact_digests():
@@ -256,7 +283,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", choices=("exact", "sigma", "net", "csv"))
     ap.add_argument("--match", default="", help="run only the experiments whose label starts so")
+    ap.add_argument("--golden", action="store_true", help="the exact, sigma and net parts with their build")
     args = ap.parse_args(argv)
+    if args.golden:
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            ap.error("--golden needs OPENBLAS_NUM_THREADS=1")
+        print("# exact/, sigma/ and net/ digests of tools/digests.py at OPENBLAS_NUM_THREADS=1")
+        print(GOLDEN_BUILD + build())
+        for digests in (exact_digests, sigma_digests, net_digests):
+            for label, digest in digests():
+                print(label, digest)
+        return 0
     if args.only in (None, "exact") and not args.match:
         for label, digest in exact_digests():
             print(label, digest, flush=True)
