@@ -50,6 +50,9 @@ class NormSpec:
             return self.functionals is other.functionals
         return np.array_equal(self.functionals, other.functionals)
 
+    def __hash__(self):
+        return hash((self.kind, self.dim, self.p))
+
 
 def lp_space(p, dim: int) -> NormSpec:
     """Construct an lp space; ``p`` may be a float >= 1, inf, or "inf"."""
@@ -148,9 +151,10 @@ def norming_functionals(space: NormSpec, U) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorFamily:
-    """The nonzero vectors v_1..v_n as columns of an m x n matrix."""
+    """The nonzero vectors v_1..v_n as columns of an m x n matrix.  Two
+    families are equal only if they are the same object."""
 
     space: NormSpec
     columns: np.ndarray = field(repr=False)

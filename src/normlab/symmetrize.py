@@ -198,7 +198,7 @@ class NormKernel:
         sums = sums.reshape(-1)[: P * (hi // rows)]
         if hi > rows:
             # a point's tiles come one after another: exact fsum across them
-            sums = np.array([math.fsum(s) for s in sums.reshape(P, -1).tolist()])
+            sums = np.array([math.fsum(s) for s in sums.reshape(P, hi // rows).tolist()])
         return sums
 
     def empirical(self, E: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -219,20 +219,21 @@ class NormKernel:
         return out / N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormInstance:
     """The map x -> average of ||sum eps_i x_i v_i|| over all sign patterns.
 
     ``max_n`` caps the exact enumeration: the exact norm raises
     CapacityError past it, so an instance that never enumerates may be
     wider.  ``vertex_cap`` is the widest l1 space whose weak variance is
-    exact (``weakvar.weak_variances``).
+    exact (``weakvar.weak_variances``).  Two instances are equal only if
+    they are the same object.
     """
 
     family: VectorFamily
     max_n: int = ENUMERATION_CAP
     vertex_cap: int = VERTEX_ENUM_CAP
-    kernel: NormKernel = field(init=False, repr=False, compare=False)
+    kernel: NormKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         validate_family(self.family)

@@ -35,50 +35,14 @@ _VERTEX_BLOCK = 1 << 14
 _LOWER_BOUND_SAMPLES = 256
 _LOWER_BOUND_SEED = 0
 
-_POWER_TOL = 1e-10
-_POWER_MAXITER = 20000
-_SVD_CUTOFF = 128
-
 
 def largest_singular_value(W: np.ndarray) -> tuple[float, np.ndarray]:
-    """(s_max, left singular vector) of W.
-
-    Exact LAPACK factorization at small sizes; deterministic power
-    iteration on the smaller Gram matrix above the cutoff (all-ones start,
-    relative tolerance ``_POWER_TOL`` on the Rayleigh quotient).
-    """
+    """(s_max, left singular vector) of W from the thin LAPACK SVD, at
+    every size: an exact factorization, so s_max / sqrt(N) bounds the
+    scalar kappa_max from above."""
     W = np.asarray(W, dtype=np.float64)
-    m, n = W.shape
-    if min(m, n) <= _SVD_CUTOFF:
-        U, s, _ = np.linalg.svd(W, full_matrices=False)
-        return float(s[0]), U[:, 0]
-    if m <= n:
-        G = W @ W.T
-        side = "left"
-    else:
-        G = W.T @ W
-        side = "right"
-    v = np.ones(G.shape[0]) / math.sqrt(G.shape[0])
-    lam = 0.0
-    for _ in range(_POWER_MAXITER):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, np.zeros(m)
-        v = w / nw
-        lam_new = float(v @ (G @ v))
-        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    s = math.sqrt(max(lam, 0.0))
-    if side == "left":
-        u = v
-    else:
-        u = W @ v
-        nu = float(np.linalg.norm(u))
-        u = u / nu if nu > 0.0 else np.zeros(m)
-    return s, u
+    U, s, _ = np.linalg.svd(W, full_matrices=False)
+    return float(s[0]), U[:, 0]
 
 
 @dataclass(frozen=True)

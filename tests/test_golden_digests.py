@@ -1,4 +1,5 @@
-"""The exact/, sigma/ and net/ digests of ``tools/digests.py`` keep their bits.
+"""The exact/, sigma/, net/ and cheap csv/ digests of ``tools/digests.py``
+keep their bits.
 
 ``tests/golden_digests.txt`` holds them with the numpy and BLAS build they
 were made on.  Bits depend on the BLAS kernels, so on another build the test
@@ -18,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BUILD = "# made on "
 
 
-def test_exact_sigma_and_net_digests_keep_their_bits():
+def test_exact_sigma_net_and_csv_digests_keep_their_bits():
     want = (ROOT / "tests" / "golden_digests.txt").read_text(encoding="utf-8").splitlines()
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "digests.py"), "--golden"],

@@ -77,13 +77,15 @@ SPLIT_KINDS = [(kind, 3) for kind in KINDS] + [("poly", 37)]
 def test_split_norms_equal_one_point_calls(kind, K, n):
     # at n = 10 and 13 a tile holds several points and the batch's last tile
     # also runs over stale rows; at n = 17, and at n = 16 for the 40-row
-    # polytope, a point spans several tiles
+    # polytope, a point spans several tiles; an empty batch has no values
     rng = np.random.default_rng(n * K)
     inst = nl.NormInstance(family=_family(kind, 3, K, n, rng))
     X = rng.standard_normal((SPLIT_POINTS[n], n))
     got = nl.exact_unconditional_norm_many(inst, X)
     alone = [nl.exact_unconditional_norm_many(inst, x[None, :])[0] for x in X]
     assert got.tobytes() == np.array(alone).tobytes()
+    none = nl.exact_unconditional_norm_many(inst, X[:0])
+    assert none.shape == (0,) and none.dtype == np.float64
 
 
 @pytest.mark.parametrize("K", range(1, 10))

@@ -96,6 +96,15 @@ class TestScalarMinMax:
             assert rep.kappa_max <= math.sqrt(n) + 1e-9
             assert 0.0 <= rep.kappa_min <= rep.kappa_max
 
+    @pytest.mark.parametrize("n, N", [(130, 140), (200, 400)])
+    def test_certificate_is_the_lapack_value_at_every_size(self, n, N):
+        # criterion 9's effort, with n and N past 128
+        A = nl.sample_sign_matrix(n, N, seed=n + N)
+        rep = nl.scalar_min_max(A, probes=64, seed=3, descent_steps=25, restarts=2)
+        s_max = np.linalg.svd(A.dense(), full_matrices=False)[1][0]
+        assert rep.kappa_max_certificate == s_max / math.sqrt(N)
+        assert rep.kappa_max <= rep.kappa_max_certificate
+
     def test_rank_link_at_n2(self):
         # exact pass: kappa_min > 0 iff the matrix has full rank
         full = nl.SignMatrix.from_dense(np.array([[1, 1], [1, -1]], dtype=np.int8))

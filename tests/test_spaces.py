@@ -1,3 +1,5 @@
+from copy import deepcopy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +130,23 @@ class TestSerialization:
     def test_p_must_be_at_least_one(self):
         with pytest.raises(ValueError):
             nl.lp_space(0.5, 2)
+
+
+class TestEqualityAndHash:
+    @pytest.mark.parametrize("space_idx", range(4))
+    def test_spaces_compare_and_hash_by_value(self, space_idx):
+        space = space_menu()[space_idx]
+        copy = deepcopy(space)
+        assert space == copy and hash(space) == hash(copy)
+        assert len({space, copy}) == 1
+
+    def test_polytopes_with_other_functionals_differ(self):
+        a = nl.polytope_space([[1, 0], [0, 1]])
+        b = nl.polytope_space([[1, 0], [0, 1], [1, 1]])
+        assert a != b and len({a, b}) == 2
+
+    def test_families_compare_by_identity(self, rng):
+        fam = nl.make_family(nl.polytope_space([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                             rng.standard_normal((4, 3)))
+        assert fam == fam and fam != deepcopy(fam)
+        assert {fam: 1}[fam] == 1 and len({fam, deepcopy(fam)}) == 2

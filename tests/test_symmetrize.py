@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -450,3 +451,11 @@ def test_instance_functions_keep_the_instance_cap(name, max_n):
             call(inst, x, net)
     else:
         call(inst, x, net)
+
+
+@pytest.mark.parametrize("space", [nl.lp_space("inf", 4), nl.polytope_space(np.eye(3))])
+def test_instances_compare_by_identity(space, rng):
+    inst = nl.NormInstance(nl.make_family(space, rng.standard_normal((5, space.dim))))
+    assert inst == inst and hash(inst) == hash(inst)
+    assert inst != nl.NormInstance(inst.family) != nl.NormInstance(deepcopy(inst.family))
+    assert len({inst, nl.NormInstance(inst.family)}) == 2

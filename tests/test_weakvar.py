@@ -256,9 +256,12 @@ class TestLargestSingularValue:
         assert s == pytest.approx(np.linalg.svd(W, compute_uv=False)[0], rel=1e-12)
         assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_iteration_large(self, rng):
+    def test_lapack_pair_at_every_size(self, rng):
+        # past min(m, n) = 128 too: the thin SVD's pair, bit for bit
         W = rng.standard_normal((150, 200))
         s, u = nl.largest_singular_value(W)
-        assert s == pytest.approx(np.linalg.svd(W, compute_uv=False)[0], rel=1e-8)
+        U, S, _ = np.linalg.svd(W, full_matrices=False)
+        assert np.float64(s).tobytes() == S[0].tobytes()
+        assert u.tobytes() == U[:, 0].tobytes()
         # certificate identity: ||W^T u|| = s
-        assert np.linalg.norm(W.T @ u) == pytest.approx(s, rel=1e-8)
+        assert np.linalg.norm(W.T @ u) == pytest.approx(s, rel=1e-12)

@@ -37,10 +37,12 @@ one part, and ``--match PREFIX`` only the experiments whose label starts
 with PREFIX.
 The whole run takes a few minutes on two cores.
 
-``--golden`` prints the ``exact/``, ``sigma/`` and ``net/`` lines after a
-header that names the numpy and BLAS build they were made on (about 10 s).
-That is the committed file ``tests/golden_digests.txt``, which a test
-recomputes.  After an intended change of those outputs, regenerate it with
+``--golden`` prints the ``exact/``, ``sigma/`` and ``net/`` lines and the
+``csv/`` lines of every experiment but the slow ones (``GOLDEN_SKIP``)
+after a header that names the numpy and BLAS build they were made on
+(about 15 s).  That is the committed file ``tests/golden_digests.txt``,
+which a test recomputes.  After an intended change of those outputs,
+regenerate it with
 
     OPENBLAS_NUM_THREADS=1 python3 tools/digests.py --golden > tests/golden_digests.txt
 """
@@ -81,6 +83,8 @@ def _vectors(kind: str, n: int, dim: int = 3) -> list:
 
 
 GOLDEN_BUILD = "# made on "
+# the csv/ experiments that --golden leaves out: together about a minute
+GOLDEN_SKIP = ("c6-", "c7", "kinds-l3-distortion", "bench-trend-n16-", "descent-l3-distortion")
 
 
 def build() -> str:
@@ -264,11 +268,11 @@ def _configs(tmp: Path):
             yield f"bench-{name}-{i}", batch_config(name, 1, i, "")
 
 
-def csv_digests(match: str = ""):
+def csv_digests(match: str = "", skip: tuple = ()):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for label, doc in _configs(tmp):
-            if not label.startswith(match):
+            if not label.startswith(match) or label.startswith(skip):
                 continue
             out = tmp / label
             doc["output"] = {"dir": str(out), "formats": ["csv"]}
@@ -283,16 +287,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", choices=("exact", "sigma", "net", "csv"))
     ap.add_argument("--match", default="", help="run only the experiments whose label starts so")
-    ap.add_argument("--golden", action="store_true", help="the exact, sigma and net parts with their build")
+    ap.add_argument("--golden", action="store_true", help="the golden file: exact, sigma, net, cheap csv")
     args = ap.parse_args(argv)
     if args.golden:
         if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
             ap.error("--golden needs OPENBLAS_NUM_THREADS=1")
-        print("# exact/, sigma/ and net/ digests of tools/digests.py at OPENBLAS_NUM_THREADS=1")
+        print("# exact/, sigma/, net/ and csv/ (but GOLDEN_SKIP) digests of tools/digests.py"
+              " at OPENBLAS_NUM_THREADS=1")
         print(GOLDEN_BUILD + build())
         for digests in (exact_digests, sigma_digests, net_digests):
             for label, digest in digests():
                 print(label, digest)
+        for label, digest in csv_digests(skip=GOLDEN_SKIP):
+            print(label, digest)
         return 0
     if args.only in (None, "exact") and not args.match:
         for label, digest in exact_digests():
