@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,16 +42,6 @@ from .symmetrize import (
     NormInstance,
     batch_empirical_norm,
     exact_unconditional_norm_many,
-)
-
-EXPERIMENTS = (
-    "exact-norm",
-    "empirical-norm",
-    "distortion",
-    "xi-sweep",
-    "scalar-sweep",
-    "concentration",
-    "net-build",
 )
 
 DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": VERTEX_ENUM_CAP}
@@ -262,31 +252,6 @@ class ExperimentConfig:
         return int(env) if env else 1
 
 
-_FAMILY = ("space", "vectors", "random_vectors", "family_file")
-_TRIAL_PROBES = ("probes", "probes/samples", "probes/descent_steps", "probes/net_file")
-_ENUM_CAP = ("caps", "caps/max_enum_n")
-_CAPS = (*_ENUM_CAP, "caps/max_dual_vertices_m")
-# experiment: (the fields it requires, the other fields it reads on some
-# path), besides experiment, master_seed, output and threads, which every
-# experiment reads; "probes/x" is the field x of probes, and "caps/x" that
-# of caps.  A field that no path of an experiment reads is rejected, and an
-# experiment that reads the family fields needs a family.
-_READS = {
-    "exact-norm": ((), (*_FAMILY, "points", "count", *_ENUM_CAP)),
-    "empirical-norm": ((), (*_FAMILY, "xi", "N", "enumerate", "points", "count", *_ENUM_CAP)),
-    "distortion": (("trials",), (*_FAMILY, "xi", "N", *_TRIAL_PROBES, "theta", "sigma0", *_CAPS)),
-    "xi-sweep": (("xi_list", "trials"), (*_FAMILY, *_TRIAL_PROBES, "theta", "sigma0", *_CAPS)),
-    "scalar-sweep": (
-        ("n", "xi_list", "trials"),
-        ("probes", "probes/samples", "probes/descent_steps", "probes/restarts", "tau"),
-    ),
-    "concentration": (("x",), (*_FAMILY, "t_grid", "N_list", "t", "trials", *_CAPS)),
-    "net-build": (("theta",), (*_FAMILY, "budget", *_ENUM_CAP)),
-}
-# experiments that map their trials over a pool of ``threads`` workers
-_POOLED = {"distortion", "xi-sweep", "scalar-sweep"}
-
-
 def load_config(path, *, experiment: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Read, override, and validate a config file.
 
@@ -300,6 +265,8 @@ def load_config(path, *, experiment: str | None = None, overrides: dict | None =
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", path=path) from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+        raise ConfigError(f"config file {path} cannot be read: {exc}", path=path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path=path) from exc
     if overrides and isinstance(doc, dict):  # any other doc fails the schema
@@ -340,24 +307,25 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     exp = exp or experiment
     doc = {**doc, "experiment": exp}
 
-    if doc.get("threads", 1) > 1 and exp not in _POOLED:
+    record = EXPERIMENTS[exp]
+    if doc.get("threads", 1) > 1 and not record.pooled:
+        pooled = sorted(name for name, e in EXPERIMENTS.items() if e.pooled)
         msg = (
             f"config field 'threads' = {doc['threads']}: experiment '{exp}' runs no trials "
-            f"in a pool; only {', '.join(sorted(_POOLED))} accept threads > 1"
+            f"in a pool; only {', '.join(pooled)} accept threads > 1"
         )
         raise ConfigError(msg, field="threads", path=path)
-    required, optional = _READS[exp]
-    for fld in required:
+    for fld in record.required:
         if fld not in doc:
             raise ConfigError(
                 f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path
             )
-    reads = {"experiment", "master_seed", "output", "threads", *required, *optional}
+    reads = {"experiment", "master_seed", "output", "threads", *record.required, *record.reads}
     for fld in (*doc, *(f"{k}/{sub}" for k in ("probes", "caps") for sub in doc.get(k, ()))):
         if fld not in reads:
             msg = f"config field '{fld}' has no effect: experiment '{exp}' does not read it"
             raise ConfigError(msg, field=fld, path=path)
-    if "family_file" in optional:
+    if "family_file" in record.reads:
         has_family = ("space" in doc and ("vectors" in doc or "random_vectors" in doc)) or (
             "family_file" in doc
         )
@@ -369,14 +337,20 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
                 path=path,
             )
     net_file = doc.get("probes", {}).get("net_file")
-    if exp in ("distortion", "xi-sweep") and doc.get("probes", {}).get("samples") == 0 and not net_file:
+    if "probes/net_file" in reads and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
-    if exp == "net-build" and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
+    if "theta" in record.required and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
         msg = f"config field 'theta' is invalid: {doc['theta']!r} is not finite"
         raise ConfigError(msg, field="theta", path=path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
-    n = resolve_family(cfg).n if "family_file" in optional else doc["n"]
+    n = resolve_family(cfg).n if "family_file" in record.reads else doc["n"]
+    source = next((f for f in ("family_file", "vectors") if f in doc), None)  # what resolve_family read
+    unread = {"family_file": ("space", "vectors", "random_vectors"), "vectors": ("random_vectors",)}
+    for fld in unread.get(source, ()):
+        if fld in doc:
+            msg = f"config field '{fld}' has no effect: the family comes from '{source}'"
+            raise ConfigError(msg, field=fld, path=path)
     for fld in ("xi", "xi_list"):
         for xi in np.ravel(doc.get(fld, [])):
             if not math.isfinite(xi):  # NaN passes the schema's bounds
@@ -385,7 +359,7 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             if SignMatrix.columns_for_xi(n, float(xi)) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
-    if exp == "distortion" or (exp == "empirical-norm" and not doc.get("enumerate")):
+    if "N" in reads and not doc.get("enumerate"):
         resolve_N(doc, n, path=path)  # one of xi and N, in agreement
     if net_file:
         try:
@@ -396,7 +370,7 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         if points.ndim != 2 or points.shape[1] != n:
             msg = f"net_file {net_file} has points of shape {points.shape}, expected rows of length n = {n}"
             raise ConfigError(msg, field="probes/net_file", path=path)
-    if exp == "concentration" and len(doc["x"]) != n:
+    if "x" in doc and len(doc["x"]) != n:
         msg = f"config field 'x' has length {len(doc['x'])}, expected n = {n}"
         raise ConfigError(msg, field="x", path=path)
     cfg.threads  # a bad NORMLAB_THREADS fails here, not mid-run
@@ -753,14 +727,43 @@ def _run_net_build(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     return results, {"net_json": net_path.name}
 
 
-_RUNNERS = {
-    "exact-norm": _run_exact_norm,
-    "empirical-norm": _run_empirical_norm,
-    "distortion": _run_xi_sweep,
-    "xi-sweep": _run_xi_sweep,
-    "scalar-sweep": _run_scalar_sweep,
-    "concentration": _run_concentration,
-    "net-build": _run_net_build,
+class Experiment(NamedTuple):
+    """An experiment's runner, the fields it requires, the other fields it
+    reads on some path, and whether it maps its trials over a pool of
+    ``threads`` workers.  Every experiment also reads experiment,
+    master_seed, output and threads; "probes/x" is the field x of probes,
+    and "caps/x" that of caps.  A field that no path of an experiment reads
+    is rejected, and an experiment that reads the family fields needs a family.
+    """
+
+    run: Callable[[ExperimentConfig, Path], tuple[dict, dict]]
+    required: tuple[str, ...]
+    reads: tuple[str, ...]
+    pooled: bool = False
+
+
+_FAMILY = ("space", "vectors", "random_vectors", "family_file")
+_ENUM_CAP = ("caps", "caps/max_enum_n")
+_CAPS = (*_ENUM_CAP, "caps/max_dual_vertices_m")
+# what distortion and xi-sweep read besides the family and the size of the sign matrix
+_SWEEP = ("probes", "probes/samples", "probes/descent_steps", "probes/net_file", "theta", "sigma0", *_CAPS)
+EXPERIMENTS = {
+    "exact-norm": Experiment(_run_exact_norm, (), (*_FAMILY, "points", "count", *_ENUM_CAP)),
+    "empirical-norm": Experiment(
+        _run_empirical_norm, (), (*_FAMILY, "xi", "N", "enumerate", "points", "count", *_ENUM_CAP)
+    ),
+    "distortion": Experiment(_run_xi_sweep, ("trials",), (*_FAMILY, "xi", "N", *_SWEEP), pooled=True),
+    "xi-sweep": Experiment(_run_xi_sweep, ("xi_list", "trials"), (*_FAMILY, *_SWEEP), pooled=True),
+    "scalar-sweep": Experiment(
+        _run_scalar_sweep,
+        ("n", "xi_list", "trials"),
+        ("probes", "probes/samples", "probes/descent_steps", "probes/restarts", "tau"),
+        pooled=True,
+    ),
+    "concentration": Experiment(
+        _run_concentration, ("x",), (*_FAMILY, "t_grid", "N_list", "t", "trials", *_CAPS)
+    ),
+    "net-build": Experiment(_run_net_build, ("theta",), (*_FAMILY, "budget", *_ENUM_CAP)),
 }
 
 
@@ -769,7 +772,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, produced = _RUNNERS[config.experiment](config, out)
+    results, produced = EXPERIMENTS[config.experiment].run(config, out)
     outputs = {}
     for tag, item in produced.items():
         if isinstance(item, Table):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import normlab as nl
 from normlab import harness
+from normlab.cli import _build_parser
 from normlab.cli import main as cli_main
 from normlab.errors import ConfigError
 from normlab.harness import load_config, resolve_N, run_experiment, validate_config
@@ -204,6 +206,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             validate_config({**doc, "family_file": str(tmp_path)}, experiment="distortion")
         assert exc.value.field == "family_file"
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys, kind):
+        if kind == "directory":
+            cfg = tmp_path
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_bytes(b"\xff\xfe\x00{}")
+        assert cli_main(["exact-norm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"space": {"kind": "lp", "p": 2, "dim": 3}, "vectors": [[1, 0, 0]]}, "space"),
+            ({"vectors": [[1, 0, 0]]}, "vectors"),
+            ({"random_vectors": {"n": 3}}, "random_vectors"),
+        ],
+    )
+    def test_a_source_beside_the_family_file_is_a_config_error(
+        self, tmp_path, family_file, capsys, extra, field
+    ):
+        doc = {"family_file": family_file, "master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert cli_main(["exact-norm", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "has no effect" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_count_beside_points_and_N_beside_enumerate_are_accepted(self, tmp_path, family_file):
+        doc = base_config(tmp_path, family_file, points=[[1.0] * 6], count=4, enumerate=True, N=3)
+        rep = run_experiment(validate_config(doc, experiment="empirical-norm"))
+        assert rep.results["points"] == 1 and rep.results["N"] == 64
 
     @pytest.mark.parametrize(
         "experiment, field", [(e, f) for e, (_, fields) in UNREAD.items() for f in fields]
@@ -444,6 +480,7 @@ class TestCli:
             ("xi-sweep", {"xi_list": [0.5, float("nan")], "trials": 1}, "xi_list"),
             ("net-build", {"theta": float("nan")}, "theta"),
             ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0], [1]]}, "vectors"),
+            ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0]]}, "random_vectors"),
             ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": 0.5}, "t"),
             ("distortion", {"xi": 0.5, "trials": 1, "probes": {"restarts": 7}}, "probes/restarts"),
             ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"restarts": 1}}, "probes/restarts"),
@@ -553,6 +590,43 @@ class TestCli:
         with pytest.raises(ConfigError, match="threads"):
             validate_config({**doc, "threads": 2}, experiment="net-build")
         assert validate_config({**doc, "threads": 1}, experiment="net-build").threads == 1
+
+
+def _schema_fields():
+    """The schema's properties, and "probes/x" and "caps/x" for theirs."""
+    props = json.loads((Path(harness.__file__).parent / "schemas" / "config.schema.json").read_text())["properties"]
+    subs = [f"{k}/{sub}" for k in ("probes", "caps") for sub in props[k]["properties"]]
+    return props, {*props, *subs}
+
+
+class TestExperimentRecords:
+    def test_the_schema_names_the_records(self):
+        props, _ = _schema_fields()
+        assert props["experiment"]["enum"] == list(harness.EXPERIMENTS)
+
+    def test_the_records_list_exactly_the_schema_fields(self):
+        _, fields = _schema_fields()
+        listed = {f for e in harness.EXPERIMENTS.values() for f in (*e.required, *e.reads)}
+        assert fields - {"experiment", "master_seed", "output", "threads"} == listed
+
+    def test_the_cli_has_a_subcommand_per_record(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(harness.EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", list(UNREAD))
+    def test_threads_above_one_is_accepted_exactly_where_the_record_is_pooled(
+        self, tmp_path, family_file, experiment
+    ):
+        own, _ = UNREAD[experiment]
+        doc = {"master_seed": 1, "output": {"dir": str(tmp_path)}, "threads": 2, **own}
+        if experiment != "scalar-sweep":
+            doc["family_file"] = family_file
+        if harness.EXPERIMENTS[experiment].pooled:
+            assert validate_config(doc, experiment=experiment).threads == 2
+        else:
+            with pytest.raises(ConfigError, match="runs no trials in a pool") as exc:
+                validate_config(doc, experiment=experiment)
+            assert exc.value.field == "threads"
 
 
 # every experiment that enumerates sign patterns: (a valid config's own

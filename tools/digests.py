@@ -9,8 +9,9 @@ diffing the outputs is the byte-identity check of a change to the kernels:
 
 * ``exact/...``: the exact norms of 64 seeded points, and the value
   blocks of one point (``iter_exact_value_blocks``, the concentration
-  path), at n = 10, 13, 16 and 17 on l_inf, l1, l2, l3, the 6-row polytope
-  and a 40-row polytope, whose points span several tiles at n = 16;
+  path), at n = 5 and 9 (the whole-table kernel) and 10, 13, 16 and 17 on
+  l_inf, l1, l2, l3, the 6-row polytope and a 40-row polytope, whose points
+  span several tiles at n = 16;
 * ``sigma/...``: ``nl.sigma`` at 64 seeded points (the first one zero)
   of l_inf, l1 (within its vertex cap, and over it with
   ``lower_bound_beyond_cap``), l2, l3 and 6-row polytope families in R^3
@@ -41,10 +42,15 @@ The whole run takes a few minutes on two cores.
 ``csv/`` lines of every experiment but the slow ones (``GOLDEN_SKIP``)
 after a header that names the numpy and BLAS build they were made on
 (about 15 s).  That is the committed file ``tests/golden_digests.txt``,
-which a test recomputes.  After an intended change of those outputs,
-regenerate it with
+which a test recomputes.  It runs OpenBLAS's Haswell kernels and numpy's
+X86_V3 loops, which every CPU with AVX2 and FMA3 runs, so that the file does
+not depend on the core of the machine.  After an intended change of those
+outputs, regenerate it with (the NPY_ setting names numpy 2.4's levels above
+X86_V3; ``--golden`` says which ones another numpy runs)
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/digests.py --golden > tests/golden_digests.txt
+    OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell \\
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \\
+        python3 tools/digests.py --golden > tests/golden_digests.txt
 """
 
 from __future__ import annotations
@@ -87,10 +93,18 @@ GOLDEN_BUILD = "# made on "
 GOLDEN_SKIP = ("c6-", "c7", "kinds-l3-distortion", "bench-trend-n16-", "descent-l3-distortion")
 
 
+def numpy_simd() -> list:
+    """The levels of numpy's SIMD dispatch that run here, beyond its baseline:
+    numpy too picks its loops by the CPU at load, and its X86_V3 and X86_V4
+    loops give other bits on l3 (exact norms, nets)."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def build() -> str:
-    """numpy's version, its BLAS, and the core whose kernels OpenBLAS runs:
-    a DYNAMIC_ARCH OpenBLAS picks its kernels by the CPU at load, and the
-    kernels of two cores need not round alike."""
+    """numpy's version and SIMD levels, its BLAS, and the core whose kernels
+    OpenBLAS runs: a DYNAMIC_ARCH OpenBLAS picks its kernels by the CPU at
+    load, and the kernels of two cores need not round alike."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = "core unknown"
     for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
@@ -99,12 +113,13 @@ def build() -> str:
             if get is not None:
                 get.restype = ctypes.c_char_p
                 core = get().decode()
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {core}"
+    simd = " ".join(numpy_simd()) or "baseline"
+    return f"numpy {np.__version__} at {simd}, {blas['name']} {blas['version']}, {core}"
 
 
 def exact_digests():
     wide = np.random.default_rng(40).standard_normal((40, 3))
-    for n in (10, 13, 16, 17):
+    for n in (5, 9, 10, 13, 16, 17):
         for kind in (*LP, "poly", "poly40"):
             space = nl.polytope_space(wide) if kind == "poly40" else _space(kind)
             fam = nl.make_family(space, np.random.default_rng(n).standard_normal((n, 3)))
@@ -290,10 +305,13 @@ def main(argv=None) -> int:
     ap.add_argument("--golden", action="store_true", help="the golden file: exact, sigma, net, cheap csv")
     args = ap.parse_args(argv)
     if args.golden:
-        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-            ap.error("--golden needs OPENBLAS_NUM_THREADS=1")
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1" or os.environ.get("OPENBLAS_CORETYPE") != "Haswell":
+            ap.error("--golden needs OPENBLAS_NUM_THREADS=1 and OPENBLAS_CORETYPE=Haswell")
+        if numpy_simd() != ["X86_V3"]:
+            ap.error(f"--golden needs numpy at X86_V3, not {numpy_simd()}: "
+                     "name the levels above it in NPY_DISABLE_CPU_FEATURES")
         print("# exact/, sigma/, net/ and csv/ (but GOLDEN_SKIP) digests of tools/digests.py"
-              " at OPENBLAS_NUM_THREADS=1")
+              " on OpenBLAS's Haswell kernels and numpy's X86_V3 loops, at OPENBLAS_NUM_THREADS=1")
         print(GOLDEN_BUILD + build())
         for digests in (exact_digests, sigma_digests, net_digests):
             for label, digest in digests():
