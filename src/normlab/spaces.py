@@ -7,8 +7,12 @@ The ambient space is always R^m equipped with one norm from a closed menu:
 * ``polytope`` -- ||u|| = max over a finite symmetric set of functionals
                   of |<phi, u>|.  One representative per +/- pair is stored.
 
-Every norm on the menu comes with a norming functional (a subgradient of
-the norm), which the weak-variance and descent computations use.
+Every space is its functional rows r_k (``NormSpec.functionals``: the
+coordinate rows for lp) and the combine of the values |<r_k, u>| into
+||u|| (``NormSpec.mode``, the one map from the kind and p; ``_combine``
+applies it).  Every norm on the menu comes with a norming functional (a
+subgradient of the norm), which the weak-variance and descent
+computations use.
 """
 
 from __future__ import annotations
@@ -29,26 +33,33 @@ ZERO_VECTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A concrete normed space (R^dim, ||.||).
+    """A concrete normed space (R^dim, ||.||): ||u|| = combine_k |<r_k, u>|
+    over its functional rows r_k.
 
-    ``kind`` is "lp" or "polytope".  For "lp", ``p`` is a float >= 1 or
-    None meaning the sup norm.  For "polytope", ``functionals`` holds one
-    representative per +/- pair, rows spanning R^dim.
+    ``kind`` is "lp" or "polytope".  ``functionals`` holds the rows,
+    read-only: the coordinate rows of R^dim for lp, one representative per
+    +/- pair spanning R^dim for a polytope.  ``p`` is a float >= 1 for lp,
+    None for the sup norm and for every polytope.
     """
 
     kind: str
     dim: int
+    functionals: np.ndarray = field(repr=False)
     p: float | None = None
-    functionals: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def mode(self) -> str:
+        """The combine of the rows' values: "maxabs" (l_inf, polytopes),
+        "sumabs" (l1), "sumsq" (l2) or "p" (any other p)."""
+        if self.p is None:
+            return "maxabs"
+        return {1.0: "sumabs", 2.0: "sumsq"}.get(self.p, "p")
 
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented
-        if (self.kind, self.dim, self.p) != (other.kind, other.dim, other.p):
-            return False
-        if self.functionals is None or other.functionals is None:
-            return self.functionals is other.functionals
-        return np.array_equal(self.functionals, other.functionals)
+        same = (self.kind, self.dim, self.p) == (other.kind, other.dim, other.p)
+        return same and np.array_equal(self.functionals, other.functionals)
 
     def __hash__(self):
         return hash((self.kind, self.dim, self.p))
@@ -58,16 +69,14 @@ def lp_space(p, dim: int) -> NormSpec:
     """Construct an lp space; ``p`` may be a float >= 1, inf, or "inf"."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if isinstance(p, str):
-        if p != "inf":
-            raise ValueError(f"unrecognized p tag {p!r}")
-        return NormSpec(kind="lp", dim=int(dim), p=None)
+    if isinstance(p, str) and p != "inf":
+        raise ValueError(f"unrecognized p tag {p!r}")
     p = float(p)
-    if np.isinf(p):
-        return NormSpec(kind="lp", dim=int(dim), p=None)
-    if not p >= 1.0:
+    if not (p >= 1.0 or np.isinf(p)):
         raise ValueError(f"lp requires p >= 1 or p = inf, got {p}")
-    return NormSpec(kind="lp", dim=int(dim), p=p)
+    rows = np.eye(int(dim))
+    rows.setflags(write=False)
+    return NormSpec(kind="lp", dim=int(dim), functionals=rows, p=None if np.isinf(p) else p)
 
 
 def polytope_space(functionals) -> NormSpec:
@@ -96,22 +105,9 @@ def polytope_space(functionals) -> NormSpec:
 
 
 def norm_rows(space: NormSpec, U: np.ndarray) -> np.ndarray:
-    """||u|| along the last axis of ``U``, vectorized, no validation."""
-    if space.kind == "polytope":
-        return np.abs(U @ space.functionals.T).max(axis=-1)
-    p = space.p
-    if p is None:
-        return np.abs(U).max(axis=-1)
-    if p == 1.0:
-        return np.abs(U).sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt(np.square(U).sum(axis=-1))
-    # general finite p: scale by the max to avoid overflow for large p
-    A = np.abs(U)
-    s = A.max(axis=-1)
-    safe = np.where(s > 0.0, s, 1.0)
-    out = safe * ((A / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
-    return np.where(s > 0.0, out, 0.0)
+    """||u|| along the last axis of ``U``, vectorized, no validation: the
+    combine of the functional values, their axis first."""
+    return _combine(np.moveaxis(U @ space.functionals.T, -1, 0), space.mode, space.p)
 
 
 def norming_functionals(space: NormSpec, U) -> np.ndarray:
@@ -119,36 +115,73 @@ def norming_functionals(space: NormSpec, U) -> np.ndarray:
     <phi, u> = ||u||, as the columns of a C-ordered (m, N) array.
 
     Doubles as a subgradient of the norm at each column; a zero column gets
-    zero (a coordinate functional for l_inf).  l_inf and polytopes take one
-    argmax of |<phi, u>| per column (the first on ties) times a sign, each
-    dual product a matrix-vector product.  A general p goes column by
-    column: numpy's vector pow rounds unlike its scalar one.
+    zero, or the first functional row for a max.  l_inf and polytopes take
+    one argmax of |<r_k, u>| over the rows per column (the first on ties)
+    times its sign, each column's row values a matrix-vector product.  A
+    general p goes column by column: numpy's vector pow rounds unlike its
+    scalar one.
     """
     U = np.asarray(U, dtype=np.float64)
-    p, F = space.p, space.functionals
-    if space.kind == "polytope" or p is None:
-        cols = np.arange(U.shape[1])
-        vals = U if F is None else np.matmul(F, U.T[:, :, None])[..., 0].T
-        k = np.abs(vals).argmax(axis=0)
-        s = vals[k, cols]
-        if F is not None:
-            return np.ascontiguousarray((np.copysign(1.0, s)[:, None] * F[k]).T)
-        Phi = np.zeros_like(U)
-        Phi[k, cols] = np.where(s != 0.0, np.copysign(1.0, s), 1.0)
-        return Phi
-    if p == 1.0:
+    mode, F = space.mode, space.functionals
+    if mode == "maxabs":
+        vals = np.matmul(F, U.T[:, :, None])[..., 0]  # (N, K)
+        k = np.abs(vals).argmax(axis=1)
+        s = vals[np.arange(U.shape[1]), k]
+        return np.ascontiguousarray((np.where(s < 0.0, -1.0, 1.0)[:, None] * F[k]).T)
+    if mode == "sumabs":
         return np.sign(U)
     Ut = np.ascontiguousarray(U.T)  # each column's norm reduced as one row
-    if p == 2.0:
+    if mode == "sumsq":
         nrm = norm_rows(space, Ut)
         Phi = Ut / np.where(nrm == 0.0, 1.0, nrm)[:, None]
         Phi[nrm == 0.0] = 0.0
         return np.ascontiguousarray(Phi.T)
-    cols = []
+    p, cols = space.p, []
     for u in Ut:
         nrm = norm_rows(space, u)
         cols.append(np.sign(u) * (np.abs(u) / nrm) ** (p - 1.0) if nrm != 0.0 else np.zeros(space.dim))
     return np.stack(cols, axis=1)
+
+
+def _combine(T: np.ndarray, mode: str, p: float | None, halves=None) -> np.ndarray:
+    """Norm values from the functional values T (K, ...), the functional
+    axis first.
+
+    Works in place: T is consumed and overwritten.  "maxabs" folds halves of
+    the rows (``halves`` or ``_halves(T)``) with the bits of a running max;
+    "sumabs" and "sumsq" add the rows in order into T[:1].  A 1-d T (one
+    vector) gives a 0-d value, through numpy's scalar scale and root for a
+    general p.
+    """
+    if mode == "maxabs":
+        np.abs(T, out=T)
+        for a, b in _halves(T) if halves is None else halves:
+            np.maximum(a, b, out=a)
+        return T[0]
+    if mode != "p":
+        (np.square if mode == "sumsq" else np.abs)(T, out=T)
+        out = T[:1]
+        for t in T[1:]:
+            np.add(out, t, out=out)
+        return (np.sqrt(out, out=out) if mode == "sumsq" else out)[0]
+    # general finite p with overflow-safe scaling
+    A = np.abs(T, out=T)
+    s = A.max(axis=0)
+    safe = np.where(s > 0.0, s, 1.0)
+    out = safe * ((A / safe) ** p).sum(axis=0) ** (1.0 / p)
+    return np.where(s > 0.0, out, 0.0)
+
+
+def _halves(T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """ceil(log2 K) view pairs (a, b) of T (K, ...): np.maximum(a, b, out=a) on
+    each in order folds the top k // 2 of the first k rows onto the bottom,
+    an odd k keeping its middle row, and leaves the max of all rows in T[0]."""
+    pairs, k = [], T.shape[0]
+    while k > 1:
+        h = k // 2
+        pairs.append((T[:h], T[k - h : k]))
+        k -= h
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)

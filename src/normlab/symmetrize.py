@@ -11,12 +11,13 @@ is built once per ``NormInstance`` and ``EmpiricalNormInstance``.  A
 ``NormInstance`` also carries its run's caps (``max_n`` for the exact
 norm, ``vertex_cap`` for the l1 weak variance): the functions that take
 an instance read them there, and no cap travels beside it.  For
-each functional row r_k of the norm (coordinates for lp, functionals for
-polytope) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k>, so the kernel
-keeps the rows, the combine mode, the divisor 2^(n-1) and, for n <= 9, the
-whole half enumeration with the points per product.  Its constructor is
-the one place here that looks at the kind of space; the exact and
-empirical norms read its fields, and so does the batched weak variance
+each functional row phi_k of the space (``NormSpec.functionals``: the
+coordinates for lp) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k> with
+r_k = phi_k V, combined by the space's ``mode`` (``spaces._combine``), so
+the kernel keeps the rows r_k, the mode, the divisor 2^(n-1) and, for
+n <= 9, the whole half enumeration with the points per product.  Nothing
+here looks at the kind of space; the exact and empirical norms read the
+kernel's fields, and so does the batched weak variance
 (``weakvar.weak_variances``).
 
 Enumeration: one representative per antipodal pair (values repeat under
@@ -54,7 +55,7 @@ from .signs import (
     half_enumeration_size,
     half_gray_sign_block,
 )
-from .spaces import NormSpec, VectorFamily, validate_family
+from .spaces import NormSpec, VectorFamily, _combine, _halves, validate_family
 
 # split enumeration: sign bits of the low half, signed sums per row block
 # of a combine tile and in all K row blocks; points per block of a large
@@ -69,10 +70,9 @@ class NormKernel:
     """The norm of one family, prepared once: rows, combine mode and tables.
 
     ``rows`` (K, n) are the functional rows r_k with ||u(eps)|| =
-    combine_k <eps, x*r_k>: the coordinate rows of V for lp, the images of V
-    under the stored functionals (``dual``) for a polytope.  ``mode`` is the
-    combine: "maxabs" (l_inf, polytope), "sumabs" (l1), "sumsq" (l2) or "p"
-    (any other p).  For n <= 9, ``low`` is the whole half enumeration and
+    combine_k <eps, x*r_k>: the images of V under the space's functionals,
+    the coordinate rows of V for lp.  ``mode`` and ``p`` are the space's
+    combine (``NormSpec.mode``).  For n <= 9, ``low`` is the whole half enumeration and
     ``chunk`` the points per product; for larger n both are None and each
     call fetches its split tables.  The state is read-only, and every call
     makes its own buffers.
@@ -82,17 +82,9 @@ class NormKernel:
         space = self.space = family.space
         V = self.columns = family.columns
         self.n = family.n
-        self.dual = space.functionals if space.kind == "polytope" else None
-        self.p = None
-        if self.dual is not None:
-            self.rows, self.mode = self.dual @ V, "maxabs"
-        elif space.p is None:
-            self.rows, self.mode = V, "maxabs"
-        elif space.p in (1.0, 2.0):
-            self.rows, self.mode = V, "sumabs" if space.p == 1.0 else "sumsq"
-        else:
-            self.rows, self.mode, self.p = V, "p", space.p
+        self.rows = space.functionals @ V  # exact for the coordinate rows
         self.rows.setflags(write=False)
+        self.mode, self.p = space.mode, space.p
         self.divisor = half_enumeration_size(self.n)
         self.low = self.chunk = None
         if self.n <= _LOW_BITS + 1:
@@ -126,7 +118,7 @@ class NormKernel:
         T = self.low @ (self.rows[:, :, None] * np.ascontiguousarray(_gemm_rows(X).T))
         if self.mode == "maxabs":
             return np.abs(T, out=T).max(axis=0)  # exact: the bits of a running max
-        return _combine_blocks(T, self.mode, self.p)
+        return _combine(T, self.mode, self.p)
 
     def value_tiles(self, X: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(ps, tile) pairs: tile (m, patterns) holds the values of the points
@@ -154,7 +146,7 @@ class NormKernel:
         points are padded (``_gemm_rows``), one point is its own stack item,
         so a point's values do not depend on its batch.  Per tile, one stacked
         k=2 GEMM writes each signed sum [H_k[j], 1] @ [1; L_k[i]] (exactly
-        H_k[j] + L_k[i]) into a buffer of this call, ``_combine_blocks``
+        H_k[j] + L_k[i]) into a buffer of this call, ``_combine``
         combines the rows in place through views made once per call, and one
         reduce sums each point's values contiguously into ``sums`` (a short
         last tile also sums stale rows, which are dropped).  A point's tiles
@@ -190,7 +182,7 @@ class NormKernel:
             for i in range(0, m, per):
                 for j in range(0, hi, rows):
                     np.matmul(HA[:, i : i + per, j : j + rows], LA[:, i : i + per], out=T)
-                    vals = _combine_blocks(flat, mode, p, halves)
+                    vals = _combine(flat, mode, p, halves)
                     np.add.reduce(vals, axis=1, out=sums[t])
                     t += 1
                     if tiles is not None:
@@ -214,7 +206,7 @@ class NormKernel:
         out = np.empty(X.shape[0])
         for ps in range(0, X.shape[0], c):
             T = (X[ps : ps + c, None, :] * self.rows) @ E
-            vals = _combine_blocks(T.transpose(1, 0, 2), self.mode, self.p)
+            vals = _combine(T.transpose(1, 0, 2), self.mode, self.p)
             out[ps : ps + c] = [math.fsum(v) for v in vals.tolist()]
         return out / N
 
@@ -277,44 +269,6 @@ class EmpiricalNormInstance:
     @property
     def xi(self) -> float:
         return self.signs.xi
-
-
-def _combine_blocks(T: np.ndarray, mode: str, p: float | None, halves=None) -> np.ndarray:
-    """Norm values from the stacked per-row signed sums T (K, ...).
-
-    Works in place: T is consumed and overwritten.  "maxabs" folds halves of
-    the rows (``halves`` or ``_halves(T)``) with the bits of a running max;
-    "sumabs" and "sumsq" add the rows in order.
-    """
-    if mode == "maxabs":
-        np.abs(T, out=T)
-        for a, b in _halves(T) if halves is None else halves:
-            np.maximum(a, b, out=a)
-        return T[0]
-    if mode != "p":
-        (np.square if mode == "sumsq" else np.abs)(T, out=T)
-        out = T[0]
-        for t in T[1:]:
-            np.add(out, t, out=out)
-        return np.sqrt(out, out=out) if mode == "sumsq" else out
-    # general finite p with overflow-safe scaling
-    A = np.abs(T, out=T)
-    s = A.max(axis=0)
-    safe = np.where(s > 0.0, s, 1.0)
-    out = safe * ((A / safe) ** p).sum(axis=0) ** (1.0 / p)
-    return np.where(s > 0.0, out, 0.0)
-
-
-def _halves(T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """ceil(log2 K) view pairs (a, b) of T (K, ...): np.maximum(a, b, out=a) on
-    each in order folds the top k // 2 of the first k rows onto the bottom,
-    an odd k keeping its middle row, and leaves the max of all rows in T[0]."""
-    pairs, k = [], T.shape[0]
-    while k > 1:
-        h = k // 2
-        pairs.append((T[:h], T[k - h : k]))
-        k -= h
-    return pairs
 
 
 def _check_points(n: int, X, one: bool = False) -> np.ndarray:

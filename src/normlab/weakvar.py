@@ -3,7 +3,8 @@
 The weak variance of w_1..w_n is the supremum over dual unit-ball
 functionals phi of sqrt(sum_i phi(w_i)^2).  ``weak_variances`` computes it
 for a batch of points of one family from its prepared norm kernel, and is
-the one place that looks at the kind of space for it.  Where the dual ball
+the one place that picks its method, by the space's combine mode
+(``NormSpec.mode``).  Where the dual ball
 is a polytope (l_inf, l1 up to its vertex cap, polytope spaces) it is the
 exact maximum over the extreme points: one scan of GEMMs of squares over
 all points and a block of extreme points at a time.  For l2 it is the
@@ -99,16 +100,16 @@ def weak_variances(
 
 def _extreme_point_scan(kernel: NormKernel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max_l ||phi_l V diag(x)||_2 and the first maximizing phi_l at each row
-    x of X, over the dual ball's extreme points up to sign: the unit vectors
-    (l_inf), the stored functionals (a polytope) or the half sign table of
-    the m-cube (l1) in blocks of ``_VERTEX_BLOCK``.  Per block, one GEMM of
+    x of X, over the dual ball's extreme points up to sign: the space's
+    functional rows (a max: the unit vectors for l_inf) or the half sign
+    table of the m-cube (l1) in blocks of ``_VERTEX_BLOCK``.  Per block, one GEMM of
     squares square(Phi V) @ square(X).T, both operands padded by ``_gemm_rows``,
     the points in chunks of whole ``_GEMM_BLOCK``s that keep it near
     ``_BUFFER`` doubles; blocks merge by a strict >.  Neither blocks nor
     chunks depend on the batch."""
     P, m = X.shape[0], kernel.columns.shape[0]
     if kernel.mode == "maxabs":
-        blocks = [np.eye(m) if kernel.dual is None else kernel.dual]  # I V is V exactly
+        blocks = [kernel.space.functionals]
     else:
         total = half_enumeration_size(m)
         starts = range(0, total, _VERTEX_BLOCK)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normlab as nl
-from normlab import symmetrize
+from normlab import spaces, symmetrize
 from normlab.spaces import norming_functionals
 from normlab.weakvar import sigma, weak_variances
 
@@ -99,13 +99,13 @@ def test_halving_max_equals_running_max(K):
     want = np.abs(T[0])
     for t in T[1:]:
         want = np.maximum(want, np.abs(t))
-    assert len(symmetrize._halves(T)) == math.ceil(math.log2(K))
-    assert symmetrize._combine_blocks(T.copy(), "maxabs", None).tobytes() == want.tobytes()
+    assert len(spaces._halves(T)) == math.ceil(math.log2(K))
+    assert spaces._combine(T.copy(), "maxabs", None).tobytes() == want.tobytes()
     B = np.empty_like(T)
-    halves = symmetrize._halves(B)  # views made once, as the split kernel does
+    halves = spaces._halves(B)  # views made once, as the split kernel does
     for _ in range(2):
         B[...] = T
-        assert symmetrize._combine_blocks(B, "maxabs", None, halves).tobytes() == want.tobytes()
+        assert spaces._combine(B, "maxabs", None, halves).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind, K", SPLIT_KINDS)
