@@ -340,9 +340,11 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     if "probes/net_file" in reads and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
-    if "theta" in record.required and not math.isfinite(doc["theta"]):  # NaN passes the schema's bounds
-        msg = f"config field 'theta' is invalid: {doc['theta']!r} is not finite"
-        raise ConfigError(msg, field="theta", path=path)
+    for fld in ("xi", "xi_list", "theta", "sigma0", "tau", "t", "t_grid"):
+        for v in np.ravel(doc.get(fld, [])):
+            if not math.isfinite(v):  # NaN passes the schema's bounds
+                msg = f"config field '{fld}' is invalid: {float(v)!r} is not finite"
+                raise ConfigError(msg, field=fld, path=path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
     n = resolve_family(cfg).n if "family_file" in record.reads else doc["n"]
     source = next((f for f in ("family_file", "vectors") if f in doc), None)  # what resolve_family read
@@ -353,9 +355,6 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             raise ConfigError(msg, field=fld, path=path)
     for fld in ("xi", "xi_list"):
         for xi in np.ravel(doc.get(fld, [])):
-            if not math.isfinite(xi):  # NaN passes the schema's bounds
-                msg = f"config field '{fld}' is invalid: {float(xi)!r} is not finite"
-                raise ConfigError(msg, field=fld, path=path)
             if SignMatrix.columns_for_xi(n, float(xi)) < 1:
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
@@ -427,10 +426,8 @@ def _fmt(v) -> str:
     """Deterministic CSV cell: shortest round-trip floats, empty for None."""
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, np.floating):
-        return repr(float(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # numpy 2's repr of its floats names the type
     if isinstance(v, np.ndarray):
         return json.dumps([float(e) for e in v])
     if isinstance(v, (list, tuple)):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -76,6 +77,21 @@ UNREAD = {
     "concentration": ({"x": [1.0] * 6}, ["budget"]),
     "net-build": ({"theta": 0.5}, ["count", "caps/max_dual_vertices_m"]),
 }
+
+
+# configs with a non-finite number, which the schema's bounds let through:
+# (experiment, its fields, the field named)
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [
+    ("distortion", {"xi": 0.5, "trials": 1, "sigma0": NAN}, "sigma0"),
+    ("xi-sweep", {"xi_list": [0.5], "trials": 1, "sigma0": INF}, "sigma0"),
+    ("distortion", {"xi": 0.5, "trials": 1, "theta": NAN}, "theta"),
+    ("scalar-sweep", {"n": 3, "xi_list": [0.5], "trials": 1, "tau": NAN}, "tau"),
+    ("scalar-sweep", {"n": 3, "xi_list": [0.5], "trials": 1, "tau": INF}, "tau"),
+    ("scalar-sweep", {"n": 3, "xi_list": [0.5, -INF], "trials": 1}, "xi_list"),
+    ("concentration", {"x": [1.0] * 6, "t_grid": [0.5, NAN]}, "t_grid"),
+    ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": INF}, "t"),
+]
 
 
 def base_config(tmp_path, family_file, **extra):
@@ -439,6 +455,36 @@ class TestRunners:
         assert "wall_time_s" in report
         assert report["artifact_version"] == nl.__version__
 
+    def test_every_csv_cell_is_text_or_a_plain_number(self, tmp_path, family_file):
+        # numpy 2's repr of a numpy float names its type: no cell may carry it
+        probes = {"samples": 8, "descent_steps": 2}
+        own = {
+            "exact-norm": {"count": 3},
+            "empirical-norm": {"xi": 0.5, "count": 3},
+            "distortion": {"xi": 0.5, "trials": 2, "probes": probes},
+            "xi-sweep": {"xi_list": [0.5, 1.0], "trials": 2, "probes": probes},
+            "scalar-sweep": {"n": 3, "xi_list": [0.5], "trials": 2, "tau": 0.5, "probes": probes},
+            "concentration": {"x": [1.0] * 6, "N_list": [2], "t": 10.0, "trials": 5},
+            "net-build": {"theta": 1.0},
+        }
+        assert sorted(own) == sorted(harness.EXPERIMENTS)
+        for experiment, fields in own.items():
+            doc = {"master_seed": 1, "output": {"dir": str(tmp_path / experiment)}, **fields}
+            if experiment != "scalar-sweep":
+                doc["family_file"] = family_file
+            run_experiment(validate_config(doc, experiment=experiment))
+        paths = sorted(tmp_path.glob("*/*.csv"))
+        assert len(paths) == 10
+        for path in paths:
+            header, *rows = csv.reader(path.read_text().splitlines())
+            assert rows
+            for row in rows:
+                for column, cell in zip(header, row, strict=True):
+                    assert "np." not in cell, (path, column, cell)
+                    if cell and column not in ("min_method", "max_method", "covering_status"):
+                        for v in json.loads(cell) if cell.startswith("[") else [cell]:
+                            float(v)
+
 
 class TestCli:
     def test_end_to_end_and_exit_codes(self, tmp_path, family_file, capsys):
@@ -493,6 +539,7 @@ class TestCli:
                  "probes": {"net_file": "net-n3.json"}},
                 "probes/net_file",
             ),
+            *NON_FINITE,
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -504,12 +551,22 @@ class TestCli:
         doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
         if "space" in doc:
             doc["random_vectors"] = {"n": 4}
-        else:
+        elif experiment != "scalar-sweep":
             doc["family_file"] = family_file
         cfg = write_json(tmp_path / "c.json", doc)
         assert cli_main([experiment, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"(field: {field})" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment, extra, field", NON_FINITE)
+    def test_non_finite_number_fails_before_the_run(self, tmp_path, family_file, capsys, experiment, extra, field):
+        doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
+        if experiment != "scalar-sweep":
+            doc["family_file"] = family_file
+        assert cli_main([experiment, "--config", write_json(tmp_path / "c.json", doc)]) == 2
+        bad = next(v for v in np.ravel(extra[field]) if not np.isfinite(v))
+        assert f"config field '{field}' is invalid: {float(bad)!r} is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_infinite_p_is_l_inf(self, tmp_path):
         results = []

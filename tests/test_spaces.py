@@ -11,7 +11,7 @@ from normlab.errors import (
     NonFiniteInputError,
     ZeroVectorError,
 )
-from normlab.spaces import norming_functionals
+from normlab.spaces import norm_rows, norming_functionals
 
 from conftest import norm, space_menu
 
@@ -67,6 +67,38 @@ def test_smooth_lp_norming_functional():
     q = 3 / 2  # dual exponent
     assert np.sum(np.abs(phi) ** q) ** (1 / q) == pytest.approx(1.0, rel=1e-12)
     assert phi @ u == pytest.approx(norm(space, u), rel=1e-12)
+
+
+class TestNormRows:
+    """``norm_rows`` is the combine that the kernel shares, so it is checked
+    against formulas that do not go through it."""
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    @pytest.mark.parametrize("p", [1, 2, 3, 4.5, "inf"])
+    def test_lp_equals_numpy_norm(self, p, dim):
+        U = np.random.default_rng(dim).standard_normal((40, dim))
+        U[0] = 0.0
+        want = np.linalg.norm(U, ord=np.inf if p == "inf" else p, axis=-1)
+        np.testing.assert_allclose(norm_rows(nl.lp_space(p, dim), U), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m, K", [(1, 1), (3, 7), (5, 40)])
+    def test_polytope_equals_max_over_functionals(self, rng, m, K):
+        space = nl.polytope_space(np.vstack([np.eye(m), rng.standard_normal((K, m))]))
+        U = rng.standard_normal((30, m))
+        want = [max(abs(float(np.dot(phi, u))) for phi in space.functionals) for u in U]
+        np.testing.assert_allclose(norm_rows(space, U), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("space", [*space_menu(), nl.lp_space(3, 3)], ids=str)
+    def test_one_vector_gives_a_0d_value(self, space):
+        assert np.ndim(norm_rows(space, np.array([1.0, -2.0, 0.5]))) == 0
+
+    @pytest.mark.parametrize("p, mode", [(1, "sumabs"), (2, "sumsq"), (3, "p"), ("inf", "maxabs")])
+    def test_lp_functionals_are_the_read_only_identity(self, p, mode):
+        space = nl.lp_space(p, 4)
+        assert space.mode == mode and np.array_equal(space.functionals, np.eye(4))
+        with pytest.raises(ValueError):
+            space.functionals[0, 0] = 2.0
+        assert nl.polytope_space(np.eye(4)).mode == "maxabs"
 
 
 class TestPolytope:

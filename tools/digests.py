@@ -41,7 +41,7 @@ The whole run takes a few minutes on two cores.
 ``--golden`` prints the ``exact/``, ``sigma/`` and ``net/`` lines and the
 ``csv/`` lines of every experiment but the slow ones (``GOLDEN_SKIP``)
 after a header that names the numpy and BLAS build they were made on
-(about 15 s).  That is the committed file ``tests/golden_digests.txt``,
+(about 20 s).  That is the committed file ``tests/golden_digests.txt``,
 which a test recomputes.  It runs OpenBLAS's Haswell kernels and numpy's
 X86_V3 loops, which every CPU with AVX2 and FMA3 runs, so that the file does
 not depend on the core of the machine.  After an intended change of those
@@ -90,7 +90,7 @@ def _vectors(kind: str, n: int, dim: int = 3) -> list:
 
 GOLDEN_BUILD = "# made on "
 # the csv/ experiments that --golden leaves out: together about a minute
-GOLDEN_SKIP = ("c6-", "c7", "kinds-l3-distortion", "bench-trend-n16-", "descent-l3-distortion")
+GOLDEN_SKIP = ("c6-", "c7", "kinds-l3-distortion")
 
 
 def numpy_simd() -> list:
