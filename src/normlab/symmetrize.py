@@ -72,10 +72,10 @@ class NormKernel:
     ``rows`` (K, n) are the functional rows r_k with ||u(eps)|| =
     combine_k <eps, x*r_k>: the images of V under the space's functionals,
     the coordinate rows of V for lp.  ``mode`` and ``p`` are the space's
-    combine (``NormSpec.mode``).  For n <= 9, ``low`` is the whole half enumeration and
-    ``chunk`` the points per product; for larger n both are None and each
-    call fetches its split tables.  The state is read-only, and every call
-    makes its own buffers.
+    combine (``NormSpec.mode``).  For n <= 9, ``low`` is the whole half
+    enumeration and ``chunk`` the points per product; for larger n both are
+    None and each call fetches its split tables.  The state is read-only,
+    and every call makes its own buffers.
     """
 
     def __init__(self, family: VectorFamily):
@@ -116,8 +116,6 @@ class NormKernel:
         each GEMM gets its operand in the other order and gives the same bits.
         """
         T = self.low @ (self.rows[:, :, None] * np.ascontiguousarray(_gemm_rows(X).T))
-        if self.mode == "maxabs":
-            return np.abs(T, out=T).max(axis=0)  # exact: the bits of a running max
         return _combine(T, self.mode, self.p)
 
     def value_tiles(self, X: np.ndarray) -> list[tuple[int, np.ndarray]]:

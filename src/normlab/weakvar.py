@@ -4,13 +4,12 @@ The weak variance of w_1..w_n is the supremum over dual unit-ball
 functionals phi of sqrt(sum_i phi(w_i)^2).  ``weak_variances`` computes it
 for a batch of points of one family from its prepared norm kernel, and is
 the one place that picks its method, by the space's combine mode
-(``NormSpec.mode``).  Where the dual ball
-is a polytope (l_inf, l1 up to its vertex cap, polytope spaces) it is the
-exact maximum over the extreme points: one scan of GEMMs of squares over
-all points and a block of extreme points at a time.  For l2 it is the
-largest singular value.  Otherwise it is a sampled lower bound, flagged
-``lower_bound_only`` and never silently wrong.  ``sigma`` is its batch of
-one point.
+(``NormSpec.mode``).  Where the dual ball is a polytope (l_inf, l1 up to
+its vertex cap, polytope spaces) it is the exact maximum over the extreme
+points: one scan of GEMMs of squares over all points and a block of
+extreme points at a time.  For l2 it is the largest singular value.
+Otherwise it is a sampled lower bound, flagged ``lower_bound_only`` and
+never silently wrong.  ``sigma`` is its batch of one point.
 """
 
 from __future__ import annotations
