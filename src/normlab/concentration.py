@@ -2,12 +2,15 @@
 
 With n enumerable, the full 2^n-atom law of the norm of a random signed
 sum is computed exactly, giving the expectation, the (lower) median, the
-variance, and exact tail probabilities.  The subgaussian tail shape is
-FITTED (log tail against (t/sigma)^2); the fit's decay coefficient plays
-the role of the universal constant in the concentration bound and is
-never asserted numerically, only its sign.  Sample means of the norm are
-amplified by averaging N independent copies; their log-frequency of
-exceeding a fixed super-mean threshold must trend down in N.
+variance, the weak variance and exact tail probabilities.  The
+subgaussian tail shape is FITTED (log tail against (t/sigma)^2); the
+fit's decay coefficient plays the role of the universal constant in the
+concentration bound and is never asserted numerically, only its sign.
+Sample means of the norm are amplified by averaging N independent copies;
+their log-frequency of exceeding a fixed super-mean threshold must trend
+down in N.  The exact law and the amplification check take the run's
+``NormInstance`` and read its caps and its prepared kernel there: one
+kernel serves the enumeration, sigma and every N-sample mean.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ import numpy as np
 
 from .errors import NormLabError
 from .seeding import derive_seed
-from .signs import ENUMERATION_CAP, VERTEX_ENUM_CAP, half_enumeration_size, sample_sign_matrix
-from .spaces import VectorFamily
-from .symmetrize import (
-    EmpiricalNormInstance,
-    NormInstance,
-    empirical_norm,
-    exact_unconditional_norm,
-    iter_exact_value_blocks,
-)
+from .signs import half_enumeration_size, sample_sign_matrix
+from .symmetrize import NormInstance, _check_points, exact_unconditional_norm, iter_exact_value_blocks
 from .weakvar import SigmaResult, sigma
 
 ATOM_MERGE_TOL = 1e-12
@@ -54,24 +50,18 @@ class ExactDistribution:
         return self.values.shape[0]
 
 
-def exact_distribution(
-    family: VectorFamily,
-    x,
-    max_n: int = ENUMERATION_CAP,
-    vertex_cap: int = VERTEX_ENUM_CAP,
-) -> ExactDistribution:
+def exact_distribution(inst: NormInstance, x) -> ExactDistribution:
     """Enumerate the 2^n values, merge equal atoms, compute E/Med/Var/sigma.
 
     Atoms within ATOM_MERGE_TOL (absolute) are aggregated.  The median is
     the lower median: the smallest atom v with P(X <= v) >= 1/2 and
     P(X >= v) >= 1/2.  sigma is exact, a flagged lower bound (any p but 1,
-    2 and inf), or a CapacityError on an l1 space wider than ``vertex_cap``.
+    2 and inf), or a CapacityError on an l1 space wider than the instance's
+    ``vertex_cap``.
     """
     x = np.asarray(x, dtype=np.float64)
-    vals = np.sort(
-        np.concatenate(list(iter_exact_value_blocks(family, x, max_n=max_n)))
-    )
-    total = half_enumeration_size(family.n)
+    vals = np.sort(np.concatenate(list(iter_exact_value_blocks(inst, x))))
+    total = half_enumeration_size(inst.n)
     cuts = np.flatnonzero(np.diff(vals) > ATOM_MERGE_TOL) + 1
     starts = np.concatenate([[0], cuts])
     ends = np.concatenate([cuts, [vals.shape[0]]])
@@ -90,8 +80,8 @@ def exact_distribution(
         expectation=expectation,
         median=median,
         variance=variance,
-        sigma=sigma(family, x, vertex_cap=vertex_cap),
-        n=family.n,
+        sigma=sigma(inst, x),
+        n=inst.n,
     )
 
 
@@ -161,22 +151,18 @@ class AmplificationResult:
 
 
 def amplification_check(
-    family: VectorFamily,
-    x,
-    N_list: list[int],
-    t: float,
-    trials: int,
-    seed: int,
-    max_n: int = ENUMERATION_CAP,
+    inst: NormInstance, x, N_list: list[int], t: float, trials: int, seed: int
 ) -> AmplificationResult:
     """Monte Carlo frequency of {(1/N) sum_j X_j >= t} per N, plus the slope.
 
-    Requires t above the exact expectation (the large-deviation regime).
-    With at least three nonzero frequencies the fitted slope of log
-    frequency against N must be negative, and is asserted.
+    Requires t above the exact expectation (the large-deviation regime),
+    which is enumerated within the instance's ``max_n``.  Each trial's
+    N-sample norm comes from the instance's kernel, as ``empirical_norm``
+    computes it.  With at least three nonzero frequencies the fitted slope
+    of log frequency against N must be negative, and is asserted.
     """
-    x = np.asarray(x, dtype=np.float64)
-    ex = exact_unconditional_norm(NormInstance(family=family, max_n=max_n), x)
+    X = _check_points(inst.n, x, one=True)
+    ex = exact_unconditional_norm(inst, X)
     if not t > ex:
         raise ValueError(f"threshold t = {t} must exceed the expectation {ex}")
     if trials < 1:
@@ -186,9 +172,8 @@ def amplification_check(
         n_seed = derive_seed(seed, N)
         hits = 0
         for trial in range(trials):
-            sm = sample_sign_matrix(family.n, N, derive_seed(n_seed, trial))
-            emp = EmpiricalNormInstance(family=family, signs=sm)
-            if empirical_norm(emp, x) >= t:
+            sm = sample_sign_matrix(inst.n, N, derive_seed(n_seed, trial))
+            if inst.kernel.empirical(sm.dense(), X)[0] >= t:
                 hits += 1
         rows.append(AmplificationRow(N=int(N), frequency=hits / trials))
     freqs = np.array([r.frequency for r in rows])

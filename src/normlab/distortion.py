@@ -176,9 +176,7 @@ def run_trial(
         certified = bound.value
         covering = bound.covering_status
 
-    svals, _, lower_bound_only, _ = weak_variances(
-        inst.kernel, X, vertex_cap=inst.vertex_cap, lower_bound_beyond_cap=True
-    )
+    svals, _, lower_bound_only, _ = weak_variances(inst, X, lower_bound_beyond_cap=True)
     in_U = svals >= sigma0
     uv = UVStats(
         sigma0=float(sigma0),

@@ -52,9 +52,10 @@ DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": VERTEX_ENU
 # ``_compile`` turns a schema into a check ``check(value, path, errors,
 # ints)`` with the semantics of Draft 2020-12 for the keywords below; a
 # keyword it does not implement is an error when the schema is loaded, so
-# no part of the schema is ignored.  A check appends each violation to
-# ``errors`` as ``(path, reason)``, and to ``ints`` the path of each
-# integral float where an integer is asked.
+# no part of the schema is ignored.  Beyond the draft, a ``number`` must
+# convert to a double: a JSON integer too large for one is a violation.
+# A check appends each violation to ``errors`` as ``(path, reason)``, and
+# to ``ints`` the path of each integral float where an integer is asked.
 
 _SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 _KEYWORDS = {
@@ -71,6 +72,14 @@ _BOUNDS = {  # keyword: (violated, reason)
 
 def _is_number(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float, numbers.Number))
+
+
+def _is_double(v) -> bool:
+    try:
+        float(v)
+    except OverflowError:  # an integer past the largest double
+        return False
+    return True
 
 
 _TYPES = {
@@ -195,6 +204,9 @@ def _compile(schema, at: tuple = ()):
             return
         if kind == "integer" and isinstance(v, float):
             ints.append(path)
+        if kind == "number" and not _is_double(v):
+            errors.append((path, f"an integer of {len(str(abs(v)))} digits does not convert to a double"))
+            return
         for c in checks:
             c(v, path, errors, ints)
 
@@ -267,7 +279,7 @@ def load_config(path, *, experiment: str | None = None, overrides: dict | None =
         raise ConfigError(f"config file not found: {path}", path=path) from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
         raise ConfigError(f"config file {path} cannot be read: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}", path=path) from exc
     if overrides and isinstance(doc, dict):  # any other doc fails the schema
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
@@ -325,6 +337,12 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         if fld not in reads:
             msg = f"config field '{fld}' has no effect: experiment '{exp}' does not read it"
             raise ConfigError(msg, field=fld, path=path)
+    if "N_list" in record.reads and not ("N_list" in doc and "t" in doc):
+        # the amplification check runs only with both N_list and t, and reads trials only then
+        for fld, needs in (("N_list", "'t'"), ("t", "'N_list'"), ("trials", "'N_list' and 't'")):
+            if fld in doc:
+                msg = f"config field '{fld}' has no effect without {needs}: amplification needs both"
+                raise ConfigError(msg, field=fld, path=path)
     if "family_file" in record.reads:
         has_family = ("space" in doc and ("vectors" in doc or "random_vectors" in doc)) or (
             "family_file" in doc
@@ -661,10 +679,9 @@ def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    family = resolve_family(cfg)
+    inst = _instance(cfg)
     x = np.asarray(cfg.raw["x"], dtype=np.float64)
-    max_n = cfg.caps["max_enum_n"]
-    d = conc.exact_distribution(family, x, max_n=max_n, vertex_cap=cfg.caps["max_dual_vertices_m"])
+    d = conc.exact_distribution(inst, x)
     fit = conc.tail_check(d, cfg.raw.get("t_grid")) if d.sigma.value > 0 else None
     outputs = {}
     if fit is not None:
@@ -679,13 +696,7 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     if "N_list" in cfg.raw and "t" in cfg.raw:
         try:
             amp = conc.amplification_check(
-                family,
-                x,
-                cfg.raw["N_list"],
-                cfg.raw["t"],
-                cfg.raw.get("trials", 2000),
-                cfg.master_seed,
-                max_n=max_n,
+                inst, x, cfg.raw["N_list"], cfg.raw["t"], cfg.raw.get("trials", 2000), cfg.master_seed
             )
         except ValueError as exc:  # t at or below the expectation
             raise ConfigError(f"config field 't' is invalid: {exc}", field="t", path=cfg.path) from exc

@@ -6,15 +6,17 @@ sampled sign columns.  With a matrix that enumerates every sign vector
 exactly once, the two coincide: that identity is the cornerstone oracle
 for everything downstream.
 
-Prepared kernel: ``NormKernel`` holds what depends only on the family and
-is built once per ``NormInstance`` and ``EmpiricalNormInstance``.  A
-``NormInstance`` also carries its run's caps (``max_n`` for the exact
-norm, ``vertex_cap`` for the l1 weak variance): the functions that take
-an instance read them there, and no cap travels beside it.  For
-each functional row phi_k of the space (``NormSpec.functionals``: the
-coordinates for lp) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k> with
-r_k = phi_k V, combined by the space's ``mode`` (``spaces._combine``), so
-the kernel keeps the rows r_k, the mode, the divisor 2^(n-1) and, for
+Prepared kernel: ``NormKernel`` holds what depends only on the family.
+Only ``NormInstance`` and ``EmpiricalNormInstance`` build one, once per
+instance.  A ``NormInstance`` also carries its run's caps (``max_n`` for
+the exact norm, ``vertex_cap`` for the l1 weak variance).  Every layer
+that evaluates a family's norm (the exact norm and its value blocks, the
+weak variance, the exact distribution, nets and distortion) takes the
+instance and reads its kernel and caps there, and no cap travels beside
+it.  For each functional row phi_k of the space (``NormSpec.functionals``:
+the coordinates for lp) ||sum eps_i x_i v_i|| = combine_k <eps, x*r_k>
+with r_k = phi_k V, combined by the space's ``mode`` (``spaces._combine``),
+so the kernel keeps the rows r_k, the mode, the divisor 2^(n-1) and, for
 n <= 9, the whole half enumeration with the points per product.  Nothing
 here looks at the kind of space; the exact and empirical norms read the
 kernel's fields, and so does the batched weak variance
@@ -285,11 +287,9 @@ def _check_points(n: int, X, one: bool = False) -> np.ndarray:
     return X
 
 
-def _enum_guard(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise CapacityError(
-            f"exact enumeration needs 2^{n} sign patterns; cap is n <= {max_n}"
-        )
+def _enum_guard(inst: NormInstance) -> None:
+    if inst.n > inst.max_n:
+        raise CapacityError(f"exact enumeration needs 2^{inst.n} sign patterns; cap is n <= {inst.max_n}")
 
 
 @lru_cache(maxsize=8)
@@ -316,16 +316,15 @@ def _gemm_rows(Y: np.ndarray) -> np.ndarray:
     return np.concatenate([Y, np.repeat(Y[-1:], pad, axis=0)]) if pad else Y
 
 
-def iter_exact_value_blocks(
-    family: VectorFamily, x, max_n: int = ENUMERATION_CAP
-) -> Iterator[np.ndarray]:
-    """Blocks of ||sum eps_i x_i v_i|| over the antipodal representatives.
+def iter_exact_value_blocks(inst: NormInstance, x) -> Iterator[np.ndarray]:
+    """Blocks of ||sum eps_i x_i v_i|| over the antipodal representatives,
+    within the instance's ``max_n``.
 
     Each full-enumeration value appears exactly once here (with its pair
     weight 2 implied); concatenated blocks cover all 2^(n-1) patterns.
     """
-    _enum_guard(family.n, max_n)
-    for _, tile in NormKernel(family).value_tiles(_check_points(family.n, x, one=True)):
+    _enum_guard(inst)
+    for _, tile in inst.kernel.value_tiles(_check_points(inst.n, x, one=True)):
         yield tile[0]
 
 
@@ -340,9 +339,8 @@ def exact_unconditional_norm(inst: NormInstance, x) -> float:
 def exact_unconditional_norm_many(inst: NormInstance, X) -> np.ndarray:
     """Vectorized exact norm over the rows of X (shape (P, n)), within the
     instance's ``max_n``."""
-    kernel = inst.kernel
-    _enum_guard(kernel.n, inst.max_n)
-    return kernel.exact(_check_points(kernel.n, X))
+    _enum_guard(inst)
+    return inst.kernel.exact(_check_points(inst.n, X))
 
 
 def empirical_norm(inst: EmpiricalNormInstance, x) -> float:

@@ -2,14 +2,15 @@
 
 The weak variance of w_1..w_n is the supremum over dual unit-ball
 functionals phi of sqrt(sum_i phi(w_i)^2).  ``weak_variances`` computes it
-for a batch of points of one family from its prepared norm kernel, and is
-the one place that picks its method, by the space's combine mode
-(``NormSpec.mode``).  Where the dual ball is a polytope (l_inf, l1 up to
-its vertex cap, polytope spaces) it is the exact maximum over the extreme
-points: one scan of GEMMs of squares over all points and a block of
-extreme points at a time.  For l2 it is the largest singular value.
-Otherwise it is a sampled lower bound, flagged ``lower_bound_only`` and
-never silently wrong.  ``sigma`` is its batch of one point.
+for a batch of points from a ``NormInstance``: its prepared kernel and its
+``vertex_cap``.  It is the one place that picks the method, by the space's
+combine mode (``NormSpec.mode``).  Where the dual ball is a polytope (l_inf,
+l1 up to the instance's vertex cap, polytope spaces) it is the exact
+maximum over the extreme points: one scan of GEMMs of squares over all
+points and a block of extreme points at a time.  For l2 it is the largest
+singular value.  Otherwise it is a sampled lower bound, flagged
+``lower_bound_only`` and never silently wrong.  ``sigma`` is its batch of
+one point, and raises CapacityError on an l1 space past the cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .signs import VERTEX_ENUM_CAP, half_enumeration_size, half_gray_sign_block
+from .signs import half_enumeration_size, half_gray_sign_block
 from .spaces import NormSpec, VectorFamily, lp_space, norming_functionals
 from .symmetrize import _BUFFER, _GEMM_BLOCK, NormInstance, NormKernel, _check_points
 from .symmetrize import _gemm_rows, exact_unconditional_norm
@@ -63,22 +64,19 @@ class SigmaResult:
 
 
 def weak_variances(
-    kernel: NormKernel,
-    X,
-    *,
-    vertex_cap: int = VERTEX_ENUM_CAP,
-    lower_bound_beyond_cap: bool = False,
+    inst: NormInstance, X, *, lower_bound_beyond_cap: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Weak variance at each row x of X (P, n): the values (P,), the
     certificates (P, m), the ``lower_bound_only`` flags (P,) and the method.
 
     A point's value, certificate and flag do not depend on its batch.
-    l_inf, polytopes and l1 up to ``vertex_cap`` dual-cube dimensions: the
-    extreme-point scan.  l2: the top singular pair of V diag(x), one stacked
-    SVD.  Beyond the cap l1 raises CapacityError, or with
-    ``lower_bound_beyond_cap`` gets, like any other p, the sampled lower
-    bound, point by point.
+    l_inf, polytopes and l1 up to the instance's ``vertex_cap`` dual-cube
+    dimensions: the extreme-point scan.  l2: the top singular pair of
+    V diag(x), one stacked SVD.  Beyond the cap l1 raises CapacityError, or
+    with ``lower_bound_beyond_cap`` gets, like any other p, the sampled
+    lower bound, point by point.
     """
+    kernel, vertex_cap = inst.kernel, inst.vertex_cap
     X = _check_points(kernel.n, X)
     V, P, mode = kernel.columns, X.shape[0], kernel.mode
     m = V.shape[0]
@@ -140,23 +138,12 @@ def _sampled_lower_bound(space: NormSpec, W: np.ndarray) -> tuple[float, np.ndar
     return math.sqrt(max(vals[k], 0.0)), Phi[k]
 
 
-def sigma(
-    family: VectorFamily,
-    x,
-    *,
-    vertex_cap: int = VERTEX_ENUM_CAP,
-    lower_bound_beyond_cap: bool = False,
-) -> SigmaResult:
+def sigma(inst: NormInstance, x) -> SigmaResult:
     """Weak variance of the weighted family (x_1 v_1, ..., x_n v_n):
     ``weak_variances`` on a batch of one point, so the two agree bit for bit.
     ``x`` is one point, a vector or a single row.
     """
-    values, certificates, flags, method = weak_variances(
-        NormKernel(family),
-        _check_points(family.n, x, one=True),
-        vertex_cap=vertex_cap,
-        lower_bound_beyond_cap=lower_bound_beyond_cap,
-    )
+    values, certificates, flags, method = weak_variances(inst, _check_points(inst.n, x, one=True))
     return SigmaResult(float(values[0]), method, certificates[0], bool(flags[0]))
 
 
@@ -199,7 +186,7 @@ def variance_norm_ratio(inst: NormInstance, x) -> VarianceRatio:
     The caller asserts ratio <= sqrt(2) (+ float slack); when sigma is
     only a lower bound the inequality still must hold for it.
     """
-    sr = sigma(inst.family, x, vertex_cap=inst.vertex_cap)
+    sr = sigma(inst, x)
     tn = exact_unconditional_norm(inst, x)
     ratio = sr.value / tn if tn > 0.0 else 0.0
     return VarianceRatio(

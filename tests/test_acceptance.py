@@ -109,13 +109,13 @@ def test_criterion_4_weak_variance_bound():
         # sigma is itself a norm: homogeneity and triangle inequality
         for kind in ("l2", "linf", "l1"):
             space = {"l1": nl.lp_space(1, 3), "l2": nl.lp_space(2, 3), "linf": nl.lp_space("inf", 3)}[kind]
-            fam = nl.make_family(space, rng.standard_normal((6, 3)))
+            inst = nl.NormInstance(nl.make_family(space, rng.standard_normal((6, 3))))
             for _ in range(30):
                 x, y = rng.standard_normal((2, 6))
                 t = float(rng.uniform(-2.0, 2.0))
-                sx, sy = nl.sigma(fam, x).value, nl.sigma(fam, y).value
-                assert abs(nl.sigma(fam, t * x).value - abs(t) * sx) <= 1e-9 * max(1.0, abs(t) * sx)
-                assert nl.sigma(fam, x + y).value <= sx + sy + 1e-9 * max(1.0, sx + sy)
+                sx, sy = nl.sigma(inst, x).value, nl.sigma(inst, y).value
+                assert abs(nl.sigma(inst, t * x).value - abs(t) * sx) <= 1e-9 * max(1.0, abs(t) * sx)
+                assert nl.sigma(inst, x + y).value <= sx + sy + 1e-9 * max(1.0, sx + sy)
 
 
 def test_criterion_5_nets():
@@ -261,12 +261,12 @@ def test_criterion_10_concentration_suite():
         rng = np.random.default_rng(1010)
         # (a) disjoint supports collapse to a single atom
         fam = nl.make_family(nl.lp_space(2, 5), np.eye(5))
-        d = nl.exact_distribution(fam, rng.standard_normal(5))
+        d = nl.exact_distribution(nl.NormInstance(fam), rng.standard_normal(5))
         assert d.atom_count == 1 and d.variance == 0.0
         # (b) 50 random nondegenerate instances at n=14
         for _ in range(50):
             fam = nl.make_family(nl.lp_space("inf", 4), rng.standard_normal((14, 4)))
-            dist = nl.exact_distribution(fam, rng.standard_normal(14))
+            dist = nl.exact_distribution(nl.NormInstance(fam), rng.standard_normal(14))
             assert abs(dist.probs.sum() - 1.0) <= 1e-12
             fit = nl.tail_check(dist)
             assert (np.diff(fit.tails) <= 1e-15).all()
@@ -276,7 +276,7 @@ def test_criterion_10_concentration_suite():
             gap = nl.median_vs_mean(dist)
             assert gap.gap <= gap.stddev + 1e-12
         # (d) amplification on the two-atom law
-        two = nl.make_family(nl.lp_space("inf", 1), [[1.0], [1.0]])
+        two = nl.NormInstance(nl.make_family(nl.lp_space("inf", 1), [[1.0], [1.0]]))
         trials = 2500
         res = nl.amplification_check(two, [1.0, 1.0], [2, 4, 8, 16], t=1.5, trials=trials, seed=1011)
         stderr = math.sqrt(0.25 * 0.75 / trials)

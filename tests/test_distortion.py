@@ -40,17 +40,17 @@ class TestSplitUV:
     # a unit vector is in U when sigma(x) >= sigma0, the boundary included
     def test_zero_threshold_all_U(self, inst, rng):
         x = nl.sphere_sample(inst, 1, seed=4)[0]
-        assert nl.sigma(inst.family, x).value >= 0.0
+        assert nl.sigma(inst, x).value >= 0.0
 
     def test_above_ceiling_all_V(self, inst):
         # sigma <= sqrt(2) |||x||| = sqrt(2) on the unit sphere
         for x in nl.sphere_sample(inst, 20, seed=5):
-            assert nl.sigma(inst.family, x).value < SQRT2 + 0.01
+            assert nl.sigma(inst, x).value < SQRT2 + 0.01
 
     def test_dim1_boundary_goes_to_U(self):
         fam = nl.make_family(nl.lp_space("inf", 1), [[1.0]] * 3)
         e1 = np.array([1.0, 0.0, 0.0])
-        sr = nl.sigma(fam, e1)
+        sr = nl.sigma(nl.NormInstance(fam), e1)
         assert sr.value == pytest.approx(1.0, rel=1e-12)
         assert sr.value >= 1.0
 

@@ -15,6 +15,7 @@ from normlab.cli import _build_parser
 from normlab.cli import main as cli_main
 from normlab.errors import ConfigError
 from normlab.harness import load_config, resolve_N, run_experiment, validate_config
+from normlab.weakvar import weak_variances
 
 
 def write_json(path, doc):
@@ -91,6 +92,17 @@ NON_FINITE = [
     ("scalar-sweep", {"n": 3, "xi_list": [0.5, -INF], "trials": 1}, "xi_list"),
     ("concentration", {"x": [1.0] * 6, "t_grid": [0.5, NAN]}, "t_grid"),
     ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": INF}, "t"),
+]
+# configs with a JSON integer past the largest double where the schema asks
+# for a number: (experiment, its fields, the field named)
+HUGE = 10**400
+PAST_DOUBLE = [
+    ("scalar-sweep", {"n": 3, "xi_list": [0.5], "trials": 1, "tau": HUGE}, "tau"),
+    ("distortion", {"xi": HUGE, "trials": 1}, "xi"),
+    ("exact-norm", {"space": {"kind": "lp", "p": HUGE, "dim": 3}}, "space/p"),
+    ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0.5], [HUGE, 1]]}, "vectors/1/0"),
+    ("exact-norm", {"points": [[1.0] * 6, [1.0] * 5 + [-HUGE]]}, "points/1/5"),
+    ("concentration", {"x": [1.0] * 5 + [HUGE]}, "x/5"),
 ]
 
 
@@ -418,7 +430,7 @@ class TestRunners:
             t=None,
             trials=50,
         )
-        d = nl.exact_distribution(fam, np.ones(fam.n))
+        d = nl.exact_distribution(nl.NormInstance(fam), np.ones(fam.n))
         doc["t"] = d.expectation * 1.5
         rep = run_experiment(validate_config(doc))
         assert (tmp_path / "out" / "tail.csv").exists()
@@ -540,6 +552,11 @@ class TestCli:
                 "probes/net_file",
             ),
             *NON_FINITE,
+            *PAST_DOUBLE,
+            # the amplification check runs only with both N_list and t
+            ("concentration", {"x": [1.0] * 6, "N_list": [2, 4]}, "N_list"),
+            ("concentration", {"x": [1.0] * 6, "t": 5.0}, "t"),
+            ("concentration", {"x": [1.0] * 6, "trials": 50}, "trials"),
         ],
     )
     def test_bad_config_is_a_config_error_naming_the_field(
@@ -567,6 +584,26 @@ class TestCli:
         bad = next(v for v in np.ravel(extra[field]) if not np.isfinite(v))
         assert f"config field '{field}' is invalid: {float(bad)!r} is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, extra, field", PAST_DOUBLE)
+    def test_number_past_the_doubles_fails_before_the_run(self, tmp_path, family_file, capsys, experiment, extra, field):
+        doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
+        if "space" not in doc and experiment != "scalar-sweep":
+            doc["family_file"] = family_file
+        assert cli_main([experiment, "--config", write_json(tmp_path / "c.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}' is invalid: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_fields_take_any_size(self, tmp_path, family_file):
+        doc = base_config(tmp_path, family_file, master_seed=HUGE, count=2)
+        assert validate_config(doc, experiment="exact-norm").master_seed == HUGE
+
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"master_seed": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="digits"):
+            load_config(p, experiment="exact-norm")
 
     def test_infinite_p_is_l_inf(self, tmp_path):
         results = []
@@ -779,11 +816,12 @@ class TestSigmaMethod:
         }
         report = run_experiment(validate_config(doc, experiment="concentration"))
         assert report.results["sigma_method"] == "sampled-lower-bound"
-        r = nl.sigma(fam, doc["x"])
+        r = nl.sigma(nl.NormInstance(fam), doc["x"])
         assert r.method == "sampled-lower-bound" and r.lower_bound_only
         # l1 past its vertex cap gets the same label; within it, the exact one
         fam1 = nl.make_family(nl.lp_space(1, 3), rng.standard_normal((5, 3)))
-        capped = nl.sigma(fam1, doc["x"], vertex_cap=2, lower_bound_beyond_cap=True)
-        assert capped.method == "sampled-lower-bound" and capped.lower_bound_only
-        exact = nl.sigma(fam1, doc["x"], vertex_cap=3, lower_bound_beyond_cap=True)
-        assert exact.method == "vertex-enumeration" and not exact.lower_bound_only
+        x = np.array(doc["x"])[None]
+        capped = weak_variances(nl.NormInstance(fam1, vertex_cap=2), x, lower_bound_beyond_cap=True)
+        assert capped[3] == "sampled-lower-bound" and capped[2][0]
+        exact = weak_variances(nl.NormInstance(fam1, vertex_cap=3), x, lower_bound_beyond_cap=True)
+        assert exact[3] == "vertex-enumeration" and not exact[2][0]

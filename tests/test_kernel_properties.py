@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import normlab as nl
 from normlab import spaces, symmetrize
 from normlab.spaces import norming_functionals
-from normlab.weakvar import sigma, weak_variances
+from normlab.weakvar import SigmaResult, sigma, weak_variances
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -116,10 +116,11 @@ def test_value_blocks_at_n17_are_the_half_enumeration(kind, K):
     rng = np.random.default_rng(K)
     fam = _family(kind, 3, K, 17, rng)
     x = rng.standard_normal(17)
-    blocks = list(symmetrize.iter_exact_value_blocks(fam, x))
+    inst = nl.NormInstance(family=fam)
+    blocks = list(symmetrize.iter_exact_value_blocks(inst, x))
     assert len(blocks) > 1 and sum(b.size for b in blocks) == 2**16
     mean = math.fsum(b.sum() for b in blocks) / 2**16
-    assert mean == nl.exact_unconditional_norm(nl.NormInstance(family=fam), x)
+    assert mean == nl.exact_unconditional_norm(inst, x)
 
 
 @PROPS
@@ -175,12 +176,16 @@ def test_weak_variance_of_a_point_does_not_depend_on_its_batch(kind, m, K, n, P,
     fam = _family(kind, m, K, n, rng)
     X = rng.standard_normal((P, n))
     X[rng.random(P) < 0.05] = 0.0
-    caps = {"vertex_cap": m - 1 if capped else m, "lower_bound_beyond_cap": True}
-    values, certs, flags, method = weak_variances(nl.NormInstance(family=fam).kernel, X, **caps)
+    inst = nl.NormInstance(fam, vertex_cap=m - 1 if capped else m)
+    values, certs, flags, method = weak_variances(inst, X, lower_bound_beyond_cap=True)
     assert values.shape == flags.shape == (P,) and certs.shape == (P, m)
     assert list(flags) == [sampled] * P and (method == "sampled-lower-bound") == sampled
     for i in range(P):
-        alone = sigma(fam, X[i], **caps)  # a batch of one
+        if capped:  # a batch of one past the l1 cap, where sigma raises
+            v, c, f, meth = weak_variances(inst, X[i][None], lower_bound_beyond_cap=True)
+            alone = SigmaResult(float(v[0]), meth, c[0], bool(f[0]))
+        else:
+            alone = sigma(inst, X[i])  # a batch of one
         assert alone.method == method and alone.lower_bound_only == flags[i]
         assert np.float64(alone.value).tobytes() == values[i].tobytes()
         assert alone.certificate.tobytes() == certs[i].tobytes()
@@ -191,6 +196,6 @@ def test_weak_variances_of_an_empty_batch(kind, capped):
     # every path, the sampled one too, keeps the shapes of a batch of points
     m = 3
     fam = _family(kind, m, 4, 5, np.random.default_rng(0))
-    caps = {"vertex_cap": m - 1 if capped else m, "lower_bound_beyond_cap": True}
-    values, certs, flags, _ = weak_variances(nl.NormInstance(family=fam).kernel, np.zeros((0, 5)), **caps)
+    inst = nl.NormInstance(fam, vertex_cap=m - 1 if capped else m)
+    values, certs, flags, _ = weak_variances(inst, np.zeros((0, 5)), lower_bound_beyond_cap=True)
     assert values.shape == flags.shape == (0,) and certs.shape == (0, m)

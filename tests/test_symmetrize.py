@@ -239,7 +239,8 @@ class TestSplitKernel:
         for space in KERNEL_SPACES:
             fam = random_family(space, 11, rng)
             x = rng.standard_normal(11)
-            got = np.sort(np.concatenate(list(symmetrize.iter_exact_value_blocks(fam, x))))
+            blocks = symmetrize.iter_exact_value_blocks(nl.NormInstance(fam), x)
+            got = np.sort(np.concatenate(list(blocks)))
             E = ((np.arange(2**10)[:, None] >> np.arange(10)) & 1) * 2.0 - 1.0
             E = np.hstack([E, np.ones((2**10, 1))])  # last sign pinned +1
             want = np.sort([norm(space, u) for u in (E * x) @ fam.columns.T])
@@ -405,17 +406,17 @@ class TestOnePointCalls:
         return {
             "exact": lambda x: nl.exact_unconditional_norm(inst, x),
             "empirical": lambda x: nl.empirical_norm(emp, x),
-            "blocks": lambda x: np.concatenate(
-                list(symmetrize.iter_exact_value_blocks(linf4_family, x))
-            ),
+            "blocks": lambda x: np.concatenate(list(symmetrize.iter_exact_value_blocks(inst, x))),
+            "distribution": lambda x: nl.exact_distribution(inst, x).values,
+            "amplification": lambda x: [r.frequency for r in nl.amplification_check(inst, x, [2], 100.0, 3, 1).rows],
         }
 
-    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks"])
+    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks", "distribution", "amplification"])
     def test_a_single_row_is_the_vector(self, calls, call, rng):
         x = rng.standard_normal(8)
         assert np.array_equal(calls[call](x), calls[call](x[None, :]))
 
-    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks"])
+    @pytest.mark.parametrize("call", ["exact", "empirical", "blocks", "distribution", "amplification"])
     @pytest.mark.parametrize("rows", [0, 2, 4])
     def test_another_count_of_points_is_refused(self, calls, call, rows, rng):
         with pytest.raises(DimensionMismatchError) as err:
@@ -434,6 +435,9 @@ INSTANCE_CALLS = {
     "build_net": lambda inst, x, net: nl.build_net(inst, 1.0, seed=1),
     "net_decompose": lambda inst, x, net: nl.net_decompose(inst, net, x, K=2),
     "variance_norm_ratio": lambda inst, x, net: nl.variance_norm_ratio(inst, x),
+    "iter_exact_value_blocks": lambda inst, x, net: list(symmetrize.iter_exact_value_blocks(inst, x)),
+    "exact_distribution": lambda inst, x, net: nl.exact_distribution(inst, x),
+    "amplification_check": lambda inst, x, net: nl.amplification_check(inst, x, [2, 4], 10.0, 5, seed=1),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import normlab as nl
 from normlab.errors import CapacityError, DimensionMismatchError, NonFiniteInputError
+from normlab.weakvar import weak_variances
 
 from conftest import norm, random_family, space_menu
 
@@ -35,42 +36,43 @@ def extreme_points(space):
 class TestSigma:
     def test_l2_diagonal_family(self, rng):
         # v_i = e_i: the weighted matrix is diagonal, so sigma = max |x_i|
-        fam = nl.make_family(nl.lp_space(2, 4), np.eye(4))
+        inst = nl.NormInstance(nl.make_family(nl.lp_space(2, 4), np.eye(4)))
         for _ in range(5):
             x = rng.standard_normal(4)
-            r = nl.sigma(fam, x)
+            r = nl.sigma(inst, x)
             assert r.method == "spectral"
             assert r.value == pytest.approx(np.abs(x).max(), rel=1e-10)
 
     def test_sup_norm_dim1_is_euclidean_length(self, rng):
-        fam = nl.make_family(nl.lp_space("inf", 1), [[1.0]] * 5)
+        inst = nl.NormInstance(nl.make_family(nl.lp_space("inf", 1), [[1.0]] * 5))
         x = rng.standard_normal(5)
-        r = nl.sigma(fam, x)
+        r = nl.sigma(inst, x)
         assert r.value == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
     def test_l1_unit_vectors(self):
         fam = nl.make_family(nl.lp_space(1, 2), [[1.0, 0.0], [0.0, 1.0]])
-        r = nl.sigma(fam, [1.0, 1.0])
+        r = nl.sigma(nl.NormInstance(fam), [1.0, 1.0])
         assert r.method == "vertex-enumeration"
         assert r.value == pytest.approx(SQRT2, rel=1e-12)
 
     def test_l1_vertex_cap_refuses(self, rng):
         fam = random_family(nl.lp_space(1, 4), 3, rng)
         with pytest.raises(CapacityError):
-            nl.sigma(fam, np.ones(3), vertex_cap=3)
+            nl.sigma(nl.NormInstance(fam, vertex_cap=3), np.ones(3))
 
     def test_l1_beyond_cap_lower_bound(self, rng):
         fam = random_family(nl.lp_space(1, 4), 3, rng)
         x = rng.standard_normal(3)
-        lb = nl.sigma(fam, x, vertex_cap=3, lower_bound_beyond_cap=True)
-        exact = nl.sigma(fam, x, lower_bound_beyond_cap=True)
-        assert lb.lower_bound_only and not exact.lower_bound_only
-        assert exact.method == "vertex-enumeration"
-        assert 0.0 < lb.value <= exact.value * (1.0 + 1e-12)
+        capped = nl.NormInstance(fam, vertex_cap=3)
+        lb, _, lb_flags, _ = weak_variances(capped, x[None], lower_bound_beyond_cap=True)
+        exact, _, flags, method = weak_variances(nl.NormInstance(fam), x[None], lower_bound_beyond_cap=True)
+        assert lb_flags[0] and not flags[0]
+        assert method == "vertex-enumeration"
+        assert 0.0 < lb[0] <= exact[0] * (1.0 + 1e-12)
 
     def test_smooth_lp_flagged_lower_bound(self, rng):
         fam = random_family(nl.lp_space(3, 3), 4, rng)
-        r = nl.sigma(fam, rng.standard_normal(4))
+        r = nl.sigma(nl.NormInstance(fam), rng.standard_normal(4))
         assert r.lower_bound_only
         assert r.value > 0.0
 
@@ -79,7 +81,7 @@ class TestSigma:
         space = space_menu()[space_idx]
         fam = random_family(space, 6, rng)
         x = rng.standard_normal(6)
-        r = nl.sigma(fam, x)
+        r = nl.sigma(nl.NormInstance(fam), x)
         phi = r.certificate
         assert phi is not None
         # dual-ball membership: the dual norm of phi is the support value
@@ -94,22 +96,22 @@ class TestSigma:
     @pytest.mark.parametrize("space_idx", [0, 1, 2, 3])
     def test_sigma_is_a_norm(self, space_idx, rng):
         space = space_menu()[space_idx]
-        fam = random_family(space, 5, rng)
+        inst = nl.NormInstance(random_family(space, 5, rng))
         for _ in range(10):
             x, y = rng.standard_normal((2, 5))
             t = float(rng.uniform(-2, 2))
-            sx = nl.sigma(fam, x).value
-            sy = nl.sigma(fam, y).value
-            assert abs(nl.sigma(fam, t * x).value - abs(t) * sx) <= 1e-9 * max(
+            sx = nl.sigma(inst, x).value
+            sy = nl.sigma(inst, y).value
+            assert abs(nl.sigma(inst, t * x).value - abs(t) * sx) <= 1e-9 * max(
                 1.0, abs(t) * sx
             )
-            assert nl.sigma(fam, x + y).value <= sx + sy + 1e-9 * (sx + sy)
+            assert nl.sigma(inst, x + y).value <= sx + sy + 1e-9 * (sx + sy)
 
     def test_polytope_exact_scan(self, rng):
         space = nl.polytope_space(np.vstack([np.eye(2), [[1.0, 1.0]]]))
         fam = random_family(space, 4, rng)
         x = rng.standard_normal(4)
-        r = nl.sigma(fam, x)
+        r = nl.sigma(nl.NormInstance(fam), x)
         # brute force over the closure of stored functionals
         W = fam.columns * x[None, :]
         closure = np.vstack([space.functionals, -space.functionals])
@@ -131,10 +133,11 @@ class TestSigmaOracle:
         Phi = extreme_points(space)
         for n in (1, 5, 9):
             fam = random_family(space, n, rng)
+            inst = nl.NormInstance(fam)
             for x in rng.standard_normal((10, n)):
                 W = fam.columns * x[None, :]
                 best = max(float(np.linalg.norm(phi @ W)) for phi in Phi)
-                r = nl.sigma(fam, x)
+                r = nl.sigma(inst, x)
                 assert not r.lower_bound_only
                 assert r.value == pytest.approx(best, rel=1e-12)
                 # the certificate is an extreme point that attains the value
@@ -150,22 +153,22 @@ class TestSigmaPoint:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_is_rejected(self, kind, bad, rng):
-        fam = random_family(KINDS[kind], 3, rng)
+        inst = nl.NormInstance(random_family(KINDS[kind], 3, rng))
         with pytest.raises(NonFiniteInputError):
-            nl.sigma(fam, [1.0, bad, 2.0])
+            nl.sigma(inst, [1.0, bad, 2.0])
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("shape", [(4,), (2,), (0, 3), (2, 3), (1, 4), ()])
     def test_wrong_shape_is_a_dimension_mismatch(self, kind, shape, rng):
-        fam = random_family(KINDS[kind], 3, rng)
+        inst = nl.NormInstance(random_family(KINDS[kind], 3, rng))
         with pytest.raises(DimensionMismatchError):
-            nl.sigma(fam, np.ones(shape))
+            nl.sigma(inst, np.ones(shape))
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_a_single_row_is_the_vector(self, kind, rng):
-        fam = random_family(KINDS[kind], 3, rng)
+        inst = nl.NormInstance(random_family(KINDS[kind], 3, rng))
         x = rng.standard_normal(3)
-        a, b = nl.sigma(fam, x), nl.sigma(fam, x[None, :])
+        a, b = nl.sigma(inst, x), nl.sigma(inst, x[None, :])
         assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
         assert a.certificate.tobytes() == b.certificate.tobytes()
         assert (a.method, a.lower_bound_only) == (b.method, b.lower_bound_only)
@@ -240,13 +243,19 @@ class TestVarianceNormRatio:
             r = nl.variance_norm_ratio(inst, rng.standard_normal(6))
             assert r.ratio <= SQRT2 + 1e-9
 
-    def test_l1_reads_the_instance_vertex_cap(self, rng):
+    @pytest.mark.parametrize(
+        "call",
+        [nl.variance_norm_ratio, nl.sigma, nl.exact_distribution],
+        ids=["variance_norm_ratio", "sigma", "exact_distribution"],
+    )
+    def test_l1_reads_the_instance_vertex_cap(self, rng, call):
         fam = random_family(nl.lp_space(1, 4), 5, rng)
         x = rng.standard_normal(5)
-        r = nl.variance_norm_ratio(nl.NormInstance(fam, vertex_cap=4), x)
-        assert r.sigma.method == "vertex-enumeration" and not r.lower_bound_only
+        r = call(nl.NormInstance(fam, vertex_cap=4), x)
+        s = r if call is nl.sigma else r.sigma
+        assert s.method == "vertex-enumeration" and not s.lower_bound_only
         with pytest.raises(CapacityError, match=r"2\^4 dual vertices; cap is m <= 3"):
-            nl.variance_norm_ratio(nl.NormInstance(fam, vertex_cap=3), x)
+            call(nl.NormInstance(fam, vertex_cap=3), x)
 
 
 class TestLargestSingularValue:

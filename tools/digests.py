@@ -13,7 +13,8 @@ diffing the outputs is the byte-identity check of a change to the kernels:
   l_inf, l1, l2, l3, the 6-row polytope and a 40-row polytope, whose points
   span several tiles at n = 16;
 * ``sigma/...``: ``nl.sigma`` at 64 seeded points (the first one zero)
-  of l_inf, l1 (within its vertex cap, and over it with
+  of l_inf, l1 (within its vertex cap, and over it: ``weak_variances`` on
+  a batch of one of an instance with ``vertex_cap = 2``, with
   ``lower_bound_beyond_cap``), l2, l3 and 6-row polytope families in R^3
   and of l1 families in R^16 (``l1-m16``, whose 2^15 dual vertices span
   two vertex blocks) at n = 1, 5 and 12, one line over the values, flags
@@ -74,6 +75,7 @@ import normlab as nl  # noqa: E402
 from benchmarks.workloads import WORKLOADS, batch_config  # noqa: E402
 from normlab.harness import run_experiment, validate_config  # noqa: E402
 from normlab.symmetrize import iter_exact_value_blocks  # noqa: E402
+from normlab.weakvar import SigmaResult, weak_variances  # noqa: E402
 
 LP = {"linf": "inf", "l1": 1, "l2": 2, "l3": 3}
 POLYTOPE = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0.5, 2, -1]]
@@ -124,28 +126,37 @@ def exact_digests():
             space = nl.polytope_space(wide) if kind == "poly40" else _space(kind)
             fam = nl.make_family(space, np.random.default_rng(n).standard_normal((n, 3)))
             X = np.random.default_rng(100 + n).standard_normal((64, n))
-            norms = nl.exact_unconditional_norm_many(nl.NormInstance(family=fam), X)
+            inst = nl.NormInstance(family=fam)
+            norms = nl.exact_unconditional_norm_many(inst, X)
             yield f"exact/{kind}-n{n}-norms", hashlib.sha256(norms.tobytes()).hexdigest()
             h = hashlib.sha256()
-            for block in iter_exact_value_blocks(fam, X[0]):
+            for block in iter_exact_value_blocks(inst, X[0]):
                 h.update(f"{block.size} ".encode())
                 h.update(block.tobytes())
             yield f"exact/{kind}-n{n}-blocks", h.hexdigest()
 
 
+def _sigma(inst, x, capped: bool):
+    """``nl.sigma`` at x, or with ``capped`` the flagged lower bound that
+    ``weak_variances`` gives past the instance's l1 vertex cap."""
+    if not capped:
+        return nl.sigma(inst, x)
+    values, certificates, flags, method = weak_variances(inst, x[None], lower_bound_beyond_cap=True)
+    return SigmaResult(float(values[0]), method, certificates[0], bool(flags[0]))
+
+
 def sigma_digests():
-    cases = [("linf", 3, {}), ("l1", 3, {}),
-             ("l1-capped", 3, {"vertex_cap": 2, "lower_bound_beyond_cap": True}),
+    cases = [("linf", 3, {}), ("l1", 3, {}), ("l1-capped", 3, {"vertex_cap": 2}),
              ("l2", 3, {}), ("l3", 3, {}), ("poly", 3, {}), ("l1-m16", 16, {})]
     for label, dim, caps in cases:
         kind = label.split("-")[0]
         for n in (1, 5, 12):
-            fam = nl.make_family(_space(kind, dim), _vectors(kind, n, dim))
+            inst = nl.NormInstance(nl.make_family(_space(kind, dim), _vectors(kind, n, dim)), **caps)
             X = np.random.default_rng(200 + n).standard_normal((64, n))
             X[0] = 0.0
             h, methods = hashlib.sha256(), hashlib.sha256()
             for x in X:
-                r = nl.sigma(fam, x, **caps)
+                r = _sigma(inst, x, bool(caps))
                 h.update(np.float64(r.value).tobytes() + bytes([r.lower_bound_only]))
                 h.update(r.certificate.tobytes())
                 methods.update(f"{r.method}\n".encode())
