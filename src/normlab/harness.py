@@ -2,7 +2,9 @@
 
 Configs are JSON documents validated against the shipped schema plus
 cross-field rules (xi vs N agreement, the fields each experiment requires
-and reads, the family and net files).
+and reads, the family and net files).  Validation keeps what it resolves
+(the family under the run's caps, N, the net and the points), and the run
+uses exactly those objects: no input file is read twice.
 The schema is checked by a small interpreter of the Draft 2020-12
 keywords it uses (see ``_compile``), so no schema library is imported.
 Reports are JSON; plottable tables are CSV with a header row.  Everything
@@ -23,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -229,13 +231,25 @@ def _schema_check():
     return _compile(json.loads(ref.read_text(encoding="utf-8")))
 
 
+_resolved = partial(field, default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class ExperimentConfig:
-    """A validated experiment description (echoed verbatim into reports)."""
+    """A validated experiment description (echoed verbatim into reports),
+    with the objects ``validate_config`` resolved from it; a field the
+    experiment does not read stays None.
+    """
 
     experiment: str
     raw: dict = field(repr=False)
     path: str | None = None
+    instance: NormInstance | None = _resolved()  # the family under the caps
+    N: int | None = _resolved()  # the sign matrix's columns, and xi = N/n - 1
+    xi: float | None = _resolved()
+    net: nets.NetPoints | None = _resolved()
+    points: np.ndarray | None = _resolved()  # given, or the count drawn
+    x: np.ndarray | None = _resolved()
 
     @property
     def master_seed(self) -> int:
@@ -305,17 +319,11 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
 
     exp = doc.get("experiment")
     if exp is None and experiment is None:
-        raise ConfigError(
-            "config field 'experiment' is missing and no subcommand supplied",
-            field="experiment",
-            path=path,
-        )
+        msg = "config field 'experiment' is missing and no subcommand supplied"
+        raise ConfigError(msg, field="experiment", path=path)
     if exp is not None and experiment is not None and exp != experiment:
-        raise ConfigError(
-            f"config field 'experiment' = {exp!r} disagrees with subcommand {experiment!r}",
-            field="experiment",
-            path=path,
-        )
+        msg = f"config field 'experiment' = {exp!r} disagrees with subcommand {experiment!r}"
+        raise ConfigError(msg, field="experiment", path=path)
     exp = exp or experiment
     doc = {**doc, "experiment": exp}
 
@@ -329,9 +337,7 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         raise ConfigError(msg, field="threads", path=path)
     for fld in record.required:
         if fld not in doc:
-            raise ConfigError(
-                f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path
-            )
+            raise ConfigError(f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path)
     reads = {"experiment", "master_seed", "output", "threads", *record.required, *record.reads}
     for fld in (*doc, *(f"{k}/{sub}" for k in ("probes", "caps") for sub in doc.get(k, ()))):
         if fld not in reads:
@@ -343,28 +349,27 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             if fld in doc:
                 msg = f"config field '{fld}' has no effect without {needs}: amplification needs both"
                 raise ConfigError(msg, field=fld, path=path)
-    if "family_file" in record.reads:
-        has_family = ("space" in doc and ("vectors" in doc or "random_vectors" in doc)) or (
-            "family_file" in doc
+    has_family = "family_file" in doc or ("space" in doc and ("vectors" in doc or "random_vectors" in doc))
+    if "family_file" in record.reads and not has_family:
+        msg = (
+            f"experiment '{exp}' needs a family: inline 'space' plus 'vectors' or "
+            "'random_vectors', or a 'family_file'"
         )
-        if not has_family:
-            raise ConfigError(
-                f"experiment '{exp}' needs a family: inline 'space' plus 'vectors' or "
-                f"'random_vectors', or a 'family_file'",
-                field="space",
-                path=path,
-            )
+        raise ConfigError(msg, field="space", path=path)
     net_file = doc.get("probes", {}).get("net_file")
     if "probes/net_file" in reads and doc.get("probes", {}).get("samples") == 0 and not net_file:
         msg = "config field 'probes/samples' is 0 with no 'probes/net_file': no probes"
         raise ConfigError(msg, field="probes/samples", path=path)
     for fld in ("xi", "xi_list", "theta", "sigma0", "tau", "t", "t_grid"):
-        for v in np.ravel(doc.get(fld, [])):
-            if not math.isfinite(v):  # NaN passes the schema's bounds
-                msg = f"config field '{fld}' is invalid: {float(v)!r} is not finite"
-                raise ConfigError(msg, field=fld, path=path)
+        if fld in doc:
+            _finite(fld, doc[fld], path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
-    n = resolve_family(cfg).n if "family_file" in record.reads else doc["n"]
+    if "family_file" in record.reads:
+        caps = cfg.caps
+        cfg.instance = NormInstance(
+            resolve_family(cfg), max_n=caps["max_enum_n"], vertex_cap=caps["max_dual_vertices_m"]
+        )
+    n = cfg.instance.n if cfg.instance else doc["n"]
     source = next((f for f in ("family_file", "vectors") if f in doc), None)  # what resolve_family read
     unread = {"family_file": ("space", "vectors", "random_vectors"), "vectors": ("random_vectors",)}
     for fld in unread.get(source, ()):
@@ -377,10 +382,11 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
                 msg = f"config field '{fld}' has xi = {xi}: N = round((1+xi) n) < 1 at n = {n}"
                 raise ConfigError(msg, field=fld, path=path)
     if "N" in reads and not doc.get("enumerate"):
-        resolve_N(doc, n, path=path)  # one of xi and N, in agreement
+        cfg.N, cfg.xi = resolve_N(doc, n, path=path)  # one of xi and N, in agreement
     if net_file:
         try:
-            points = nets.load_net(net_file).points
+            cfg.net = nets.load_net(net_file)
+            points = cfg.net.points
         except (OSError, ValueError, TypeError, KeyError) as exc:  # missing, not JSON, or not a net
             msg = f"net_file {net_file} is not a readable net: {type(exc).__name__}: {exc}"
             raise ConfigError(msg, field="probes/net_file", path=path) from exc
@@ -391,7 +397,31 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         msg = f"config field 'x' has length {len(doc['x'])}, expected n = {n}"
         raise ConfigError(msg, field="x", path=path)
     cfg.threads  # a bad NORMLAB_THREADS fails here, not mid-run
+    if "points" in doc:
+        try:
+            pts = np.asarray(doc["points"], dtype=np.float64)
+        except ValueError as exc:  # rows of unequal length
+            msg = "config field 'points' is invalid: its rows have unequal lengths"
+            raise ConfigError(msg, field="points", path=path) from exc
+        if pts.ndim != 2 or pts.shape[1] != n:
+            raise ConfigError(f"points must be rows of length n = {n}", field="points", path=path)
+        cfg.points = _finite("points", pts, path)
+    elif "points" in record.reads:
+        rng = np.random.default_rng(np.uint64(derive_seed(cfg.master_seed, 2)))
+        cfg.points = rng.standard_normal((doc.get("count", 16), n))
+    if "x" in doc:
+        cfg.x = _finite("x", doc["x"], path)
     return cfg
+
+
+def _finite(fld: str, values, path) -> np.ndarray:
+    """``values`` as doubles, unless an entry is NaN or infinite (NaN passes the schema's bounds)."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        msg = f"config field '{fld}' is invalid: {float(bad[0])!r} is not finite"
+        raise ConfigError(msg, field=fld, path=path)
+    return arr
 
 
 def resolve_family(cfg: ExperimentConfig) -> VectorFamily:
@@ -399,7 +429,8 @@ def resolve_family(cfg: ExperimentConfig) -> VectorFamily:
     if "family_file" in doc:
         try:
             return load_family(doc["family_file"])
-        except (OSError, ValueError, KeyError, NormLabError) as exc:  # OSError: missing, or a directory
+        # OSError: missing, or a directory; TypeError and AttributeError: JSON but not a family
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, NormLabError) as exc:
             raise ConfigError(f"invalid family_file: {exc}", field="family_file", path=cfg.path)
     try:
         space = space_from_json(doc["space"])
@@ -429,11 +460,8 @@ def resolve_N(doc: dict, n: int, *, path=None) -> tuple[int, float]:
     if xi is not None:
         implied = SignMatrix.columns_for_xi(n, xi)
         if N is not None and N != implied:
-            raise ConfigError(
-                f"'N' = {N} and 'xi' = {xi} disagree: round((1+xi) n) = {implied}",
-                field="N",
-                path=path,
-            )
+            msg = f"'N' = {N} and 'xi' = {xi} disagree: round((1+xi) n) = {implied}"
+            raise ConfigError(msg, field="N", path=path)
         N = implied
     return N, N / n - 1.0
 
@@ -533,33 +561,11 @@ _TRIAL_COLUMNS = {
 _trial_columns = operator.attrgetter(*_TRIAL_COLUMNS.values())
 
 
-def _resolve_points(cfg: ExperimentConfig, n: int) -> np.ndarray:
-    if "points" in cfg.raw:
-        pts = np.asarray(cfg.raw["points"], dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != n:
-            raise ConfigError(
-                f"points must be rows of length n = {n}", field="points", path=cfg.path
-            )
-        return pts
-    count = cfg.raw.get("count", 16)
-    rng = np.random.default_rng(np.uint64(derive_seed(cfg.master_seed, 2)))
-    return rng.standard_normal((count, n))
-
-
 # --- experiment runners -------------------------------------------------------
 
-def _instance(cfg: ExperimentConfig) -> NormInstance:
-    """The run's one prepared norm: the config's family under its caps."""
-    caps = cfg.caps
-    return NormInstance(
-        resolve_family(cfg), max_n=caps["max_enum_n"], vertex_cap=caps["max_dual_vertices_m"]
-    )
-
-
 def _run_exact_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    inst = _instance(cfg)
-    X = _resolve_points(cfg, inst.n)
-    vals = exact_unconditional_norm_many(inst, X)
+    X = cfg.points
+    vals = exact_unconditional_norm_many(cfg.instance, X)
     rows = [[i, vals[i], X[i]] for i in range(X.shape[0])]
     results = {
         "points": X.shape[0],
@@ -570,15 +576,13 @@ def _run_exact_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_empirical_norm(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    inst = _instance(cfg)
-    n = inst.n
+    inst = cfg.instance
     if cfg.raw.get("enumerate"):
-        signs = enumeration_matrix(n, cap=inst.max_n)
+        signs = enumeration_matrix(inst.n, cap=inst.max_n)
     else:
-        N, _ = resolve_N(cfg.raw, n, path=cfg.path)
-        signs = sample_sign_matrix(n, N, derive_seed(cfg.master_seed, 0))
+        signs = sample_sign_matrix(inst.n, cfg.N, derive_seed(cfg.master_seed, 0))
     emp = EmpiricalNormInstance(family=inst.family, signs=signs)
-    X = _resolve_points(cfg, n)
+    X = cfg.points
     emp_vals = batch_empirical_norm(emp, X)
     rows, header = [], ["index", "empirical_norm", "point"]
     results: dict = {"N": emp.N, "xi": emp.xi, "points": X.shape[0]}
@@ -611,22 +615,15 @@ def _aggregate(rows) -> Table:
 
 def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     """``xi-sweep``, and ``distortion`` as the sweep of its one resolved xi."""
-    inst = _instance(cfg)
-    if cfg.experiment == "distortion":
-        # the xi of N = round((1+xi) n), whose bits the trial seeds derive from
-        xi_list = [resolve_N(cfg.raw, inst.n, path=cfg.path)[1]]
-    else:
-        xi_list = cfg.raw["xi_list"]
+    # distortion sweeps the xi of N = round((1+xi) n), whose bits the trial seeds derive from
+    xi_list = [cfg.xi] if cfg.experiment == "distortion" else cfg.raw["xi_list"]
     p = cfg.raw.get("probes", {})
-    probes = dist.ProbeSpec(
-        **{k: p[k] for k in ("samples", "descent_steps") if k in p},
-        net=nets.load_net(p["net_file"]) if p.get("net_file") else None,
-    )
+    probes = dist.ProbeSpec(**{k: p[k] for k in ("samples", "descent_steps") if k in p}, net=cfg.net)
     # sigma0 = sqrt(2) theta unless given
     sigma0 = cfg.raw.get("sigma0", math.sqrt(2.0) * cfg.raw.get("theta", dist.DEFAULT_THETA))
     with _pool(cfg) as pool:
         profile = dist.xi_sweep(
-            inst,
+            cfg.instance,
             xi_list,
             cfg.raw["trials"],
             cfg.master_seed,
@@ -679,8 +676,7 @@ def _run_scalar_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    inst = _instance(cfg)
-    x = np.asarray(cfg.raw["x"], dtype=np.float64)
+    inst, x = cfg.instance, cfg.x
     d = conc.exact_distribution(inst, x)
     fit = conc.tail_check(d, cfg.raw.get("t_grid")) if d.sigma.value > 0 else None
     outputs = {}
@@ -722,8 +718,7 @@ def _run_concentration(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
 
 
 def _run_net_build(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
-    inst = _instance(cfg)
-    net = nets.build_net(inst, cfg.raw["theta"], budget=cfg.raw.get("budget"), seed=cfg.master_seed)
+    net = nets.build_net(cfg.instance, cfg.raw["theta"], budget=cfg.raw.get("budget"), seed=cfg.master_seed)
     net_path = out / "net.json"
     nets.save_net(net, net_path)
     results = {

@@ -29,7 +29,7 @@ POLY = {"space": {"kind": "polytope", "functionals": [[1, 0], [0, 1], [1, 1]]}, 
 # restarts acts only in the scalar sweep; distortion and xi-sweep reject it
 PROBES = {"samples": 4, "descent_steps": 2}
 BASES = {
-    "exact-norm": {**LINF, "count": 2, "points": [[1.0, 0.0, -1.0]]},
+    "exact-norm": {**LINF, "count": 2, "points": [[1.0, 0.0, -1.0], [0.5, 2.0, 0.25]]},
     "empirical-norm": {**POLY, "N": 3, "count": 2, "enumerate": True},
     "distortion": {**LINF, "xi": 0.5, "trials": 1, "probes": PROBES, "caps": {"max_enum_n": 22}, "threads": 2},
     "xi-sweep": {**POLY, "xi_list": [0.5, 1], "trials": 1, "probes": PROBES, "sigma0": 0.5},

@@ -50,6 +50,13 @@ BAD_NET_FILES = {
     "not-a-net.json": json.dumps({"theta": 0.5}),
     "net-n3.json": json.dumps(NET_N3),
 }
+# family files that are JSON but not a family, by name
+BAD_FAMILY_FILES = {
+    "list-family.json": "[1, 2]",
+    "int-space.json": json.dumps({"space": 5, "vectors": [[1.0]]}),
+    "list-dim.json": json.dumps({"space": {"kind": "lp", "p": 2, "dim": [1]}, "vectors": [[1.0]]}),
+    "null-p.json": json.dumps({"space": {"kind": "lp", "p": None, "dim": 1}, "vectors": [[1.0]]}),
+}
 
 # a value of each field that the schema accepts
 FIELD_VALUES = {
@@ -92,6 +99,9 @@ NON_FINITE = [
     ("scalar-sweep", {"n": 3, "xi_list": [0.5, -INF], "trials": 1}, "xi_list"),
     ("concentration", {"x": [1.0] * 6, "t_grid": [0.5, NAN]}, "t_grid"),
     ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": INF}, "t"),
+    ("exact-norm", {"points": [[1.0] * 6, [1.0] * 5 + [NAN]]}, "points"),
+    ("empirical-norm", {"xi": 0.5, "points": [[INF] + [1.0] * 5]}, "points"),
+    ("concentration", {"x": [1.0] * 5 + [-INF]}, "x"),
 ]
 # configs with a JSON integer past the largest double where the schema asks
 # for a number: (experiment, its fields, the field named)
@@ -314,6 +324,44 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"(field: {field})" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, extra", [("exact-norm", {}), ("empirical-norm", {"xi": 0.5})])
+    @pytest.mark.parametrize("points", [[[1.0] * 5], [[1.0] * 6, [1.0] * 5]], ids=["short", "ragged"])
+    def test_points_of_the_wrong_shape_fail_before_the_output_directory(
+        self, tmp_path, family_file, capsys, experiment, extra, points
+    ):
+        doc = base_config(tmp_path, family_file, points=points, **extra)
+        assert cli_main([experiment, "--config", write_json(tmp_path / "c.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert "(field: points)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_FAMILY_FILES))
+    def test_a_json_file_that_is_no_family_is_a_config_error(self, tmp_path, capsys, name):
+        (tmp_path / name).write_text(BAD_FAMILY_FILES[name])
+        doc = {"family_file": str(tmp_path / name), "master_seed": 1, "output": {"dir": str(tmp_path / "o")}}
+        assert cli_main(["exact-norm", "--config", write_json(tmp_path / "c.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert "(field: family_file)" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_run_reads_its_inputs_once(self, tmp_path, family_file, monkeypatch):
+        net_path = tmp_path / "net.json"
+        nl.save_net(nl.build_net(nl.NormInstance(nl.load_family(family_file)), 0.5, budget=60, seed=1), net_path)
+        probes = {"samples": 10, "descent_steps": 2, "net_file": str(net_path)}
+        doc = base_config(tmp_path, family_file, xi=0.5, trials=2, probes=probes)
+        run_experiment(validate_config(doc, experiment="distortion"))
+        calls = []
+        for owner, name in ((harness, "load_family"), (harness.nets, "load_net")):
+            loader = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda path, f=loader, name=name: calls.append(name) or f(path))
+        cfg = validate_config(dict(doc, output={"dir": str(tmp_path / "again")}), experiment="distortion")
+        # the family file rewritten between load and run: the run keeps what was loaded
+        nl.save_family(nl.make_family(nl.lp_space(2, 3), np.ones((6, 3))), family_file)
+        run_experiment(cfg)
+        assert sorted(calls) == ["load_family", "load_net"]
+        trials = [(tmp_path / out / "trials.csv").read_bytes() for out in ("out", "again")]
+        assert trials[0] == trials[1]
 
     def test_xi_N_agreement(self):
         assert resolve_N({"xi": 0.5}, 8) == (12, 0.5)
@@ -539,6 +587,7 @@ class TestCli:
             ("net-build", {"theta": float("nan")}, "theta"),
             ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0], [1]]}, "vectors"),
             ("exact-norm", {"space": {"kind": "lp", "p": 2, "dim": 2}, "vectors": [[1, 0]]}, "random_vectors"),
+            ("exact-norm", {"points": [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0]]}, "points"),
             ("concentration", {"x": [1.0] * 6, "N_list": [2], "t": 0.5}, "t"),
             ("distortion", {"xi": 0.5, "trials": 1, "probes": {"restarts": 7}}, "probes/restarts"),
             ("xi-sweep", {"xi_list": [0.5], "trials": 1, "probes": {"restarts": 1}}, "probes/restarts"),
