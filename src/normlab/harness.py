@@ -46,9 +46,6 @@ from .symmetrize import (
     exact_unconditional_norm_many,
 )
 
-DEFAULT_CAPS = {"max_enum_n": ENUMERATION_CAP, "max_dual_vertices_m": VERTEX_ENUM_CAP}
-
-
 # --- the config schema --------------------------------------------------------
 #
 # ``_compile`` turns a schema into a check ``check(value, path, errors,
@@ -264,10 +261,6 @@ class ExperimentConfig:
         return self.raw["output"].get("formats", ["json", "csv"])
 
     @property
-    def caps(self) -> dict:
-        return {**DEFAULT_CAPS, **self.raw.get("caps", {})}
-
-    @property
     def threads(self) -> int:
         if "threads" in self.raw:
             return self.raw["threads"]
@@ -365,9 +358,11 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
             _finite(fld, doc[fld], path)
     cfg = ExperimentConfig(experiment=exp, raw=doc, path=path)
     if "family_file" in record.reads:
-        caps = cfg.caps
+        caps = doc.get("caps", {})
         cfg.instance = NormInstance(
-            resolve_family(cfg), max_n=caps["max_enum_n"], vertex_cap=caps["max_dual_vertices_m"]
+            resolve_family(cfg),
+            max_n=caps.get("max_enum_n", ENUMERATION_CAP),
+            vertex_cap=caps.get("max_dual_vertices_m", VERTEX_ENUM_CAP),
         )
     n = cfg.instance.n if cfg.instance else doc["n"]
     source = next((f for f in ("family_file", "vectors") if f in doc), None)  # what resolve_family read
@@ -386,10 +381,10 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
     if net_file:
         try:
             cfg.net = nets.load_net(net_file)
-            points = cfg.net.points
         except (OSError, ValueError, TypeError, KeyError) as exc:  # missing, not JSON, or not a net
             msg = f"net_file {net_file} is not a readable net: {type(exc).__name__}: {exc}"
             raise ConfigError(msg, field="probes/net_file", path=path) from exc
+        points = cfg.net.points
         if points.ndim != 2 or points.shape[1] != n:
             msg = f"net_file {net_file} has points of shape {points.shape}, expected rows of length n = {n}"
             raise ConfigError(msg, field="probes/net_file", path=path)
@@ -398,14 +393,9 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         raise ConfigError(msg, field="x", path=path)
     cfg.threads  # a bad NORMLAB_THREADS fails here, not mid-run
     if "points" in doc:
-        try:
-            pts = np.asarray(doc["points"], dtype=np.float64)
-        except ValueError as exc:  # rows of unequal length
-            msg = "config field 'points' is invalid: its rows have unequal lengths"
-            raise ConfigError(msg, field="points", path=path) from exc
-        if pts.ndim != 2 or pts.shape[1] != n:
+        if {len(row) for row in doc["points"]} != {n}:  # none, ragged, or not of length n
             raise ConfigError(f"points must be rows of length n = {n}", field="points", path=path)
-        cfg.points = _finite("points", pts, path)
+        cfg.points = _finite("points", doc["points"], path)
     elif "points" in record.reads:
         rng = np.random.default_rng(np.uint64(derive_seed(cfg.master_seed, 2)))
         cfg.points = rng.standard_normal((doc.get("count", 16), n))
