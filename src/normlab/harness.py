@@ -312,11 +312,17 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
 
     exp = doc.get("experiment")
     if exp is None and experiment is None:
-        msg = "config field 'experiment' is missing and no subcommand supplied"
-        raise ConfigError(msg, field="experiment", path=path)
+        raise ConfigError(
+            "config field 'experiment' is missing and no subcommand supplied",
+            field="experiment",
+            path=path,
+        )
     if exp is not None and experiment is not None and exp != experiment:
-        msg = f"config field 'experiment' = {exp!r} disagrees with subcommand {experiment!r}"
-        raise ConfigError(msg, field="experiment", path=path)
+        raise ConfigError(
+            f"config field 'experiment' = {exp!r} disagrees with subcommand {experiment!r}",
+            field="experiment",
+            path=path,
+        )
     exp = exp or experiment
     doc = {**doc, "experiment": exp}
 
@@ -330,7 +336,9 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         raise ConfigError(msg, field="threads", path=path)
     for fld in record.required:
         if fld not in doc:
-            raise ConfigError(f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path)
+            raise ConfigError(
+                f"experiment '{exp}' requires config field '{fld}'", field=fld, path=path
+            )
     reads = {"experiment", "master_seed", "output", "threads", *record.required, *record.reads}
     for fld in (*doc, *(f"{k}/{sub}" for k in ("probes", "caps") for sub in doc.get(k, ()))):
         if fld not in reads:
@@ -450,8 +458,11 @@ def resolve_N(doc: dict, n: int, *, path=None) -> tuple[int, float]:
     if xi is not None:
         implied = SignMatrix.columns_for_xi(n, xi)
         if N is not None and N != implied:
-            msg = f"'N' = {N} and 'xi' = {xi} disagree: round((1+xi) n) = {implied}"
-            raise ConfigError(msg, field="N", path=path)
+            raise ConfigError(
+                f"'N' = {N} and 'xi' = {xi} disagree: round((1+xi) n) = {implied}",
+                field="N",
+                path=path,
+            )
         N = implied
     return N, N / n - 1.0
 

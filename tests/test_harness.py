@@ -336,15 +336,6 @@ class TestConfigValidation:
         assert "(field: points)" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", sorted(BAD_FAMILY_FILES))
-    def test_a_json_file_that_is_no_family_is_a_config_error(self, tmp_path, capsys, name):
-        (tmp_path / name).write_text(BAD_FAMILY_FILES[name])
-        doc = {"family_file": str(tmp_path / name), "master_seed": 1, "output": {"dir": str(tmp_path / "o")}}
-        assert cli_main(["exact-norm", "--config", write_json(tmp_path / "c.json", doc)]) == 2
-        err = capsys.readouterr().err
-        assert "(field: family_file)" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
     def test_a_run_reads_its_inputs_once(self, tmp_path, family_file, monkeypatch):
         net_path = tmp_path / "net.json"
         nl.save_net(nl.build_net(nl.NormInstance(nl.load_family(family_file)), 0.5, budget=60, seed=1), net_path)
@@ -600,6 +591,7 @@ class TestCli:
                  "probes": {"net_file": "net-n3.json"}},
                 "probes/net_file",
             ),
+            *(("exact-norm", {"family_file": name}, "family_file") for name in BAD_FAMILY_FILES),
             *NON_FINITE,
             *PAST_DOUBLE,
             # the amplification check runs only with both N_list and t
@@ -611,14 +603,14 @@ class TestCli:
     def test_bad_config_is_a_config_error_naming_the_field(
         self, tmp_path, family_file, capsys, monkeypatch, experiment, extra, field
     ):
-        for name, text in BAD_NET_FILES.items():
+        for name, text in {**BAD_NET_FILES, **BAD_FAMILY_FILES}.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
         doc = {"master_seed": 1, "output": {"dir": str(tmp_path / "o")}, **extra}
         if "space" in doc:
             doc["random_vectors"] = {"n": 4}
         elif experiment != "scalar-sweep":
-            doc["family_file"] = family_file
+            doc.setdefault("family_file", family_file)
         cfg = write_json(tmp_path / "c.json", doc)
         assert cli_main([experiment, "--config", cfg]) == 2
         err = capsys.readouterr().err
