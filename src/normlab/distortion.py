@@ -2,7 +2,7 @@
 
 One trial draws a sign matrix with N = round((1+xi) n) columns, probes the
 empirical norm over unit vectors of the exact averaged norm (optional net
-points plus fresh sphere samples), and refines the minimum by projected
+points plus sphere samples), and refines the minimum by projected
 subgradient descent on the sphere: the lowest probe is a stack of one
 start for the engine that the scalar case shares (``stats.descend``),
 renormalised by the exact norm.  There is no ascent and no restart, so
@@ -13,6 +13,15 @@ true maximum.  A sweep over xi runs its trials through the driver that
 the scalar case shares (``stats.sweep``), then aggregates trial quartiles
 and fits the small-xi log-log slope of the median minimum (reported,
 never asserted); ``run_trials`` is the sweep of one xi.
+
+The signs are per trial and the probes per family and sweep: every trial
+of a sweep draws its own sign matrix from its trial seed and measures it
+at the same sphere samples, drawn from the sweep's probe seed
+(``seeding.sweep_probe_seed``; common random numbers).  ``sphere_sample``
+keeps its result on the instance, so the family's samples are
+normalised by the exact norm once per sweep, inside the first trial
+that asks for them.  A lone ``run_trial`` draws its samples from its own
+seed.  ``SEED_SCHEME`` names this derivation in each sweep's report.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import NetPoints, certified_sup_bound
-from .seeding import derive_seed
+from .seeding import derive_seed, sweep_probe_seed
 from .signs import SignMatrix, sample_sign_matrix
 from .spaces import norming_functionals
 from .stats import descend, loglog_slope, quartiles, sweep
@@ -35,6 +44,9 @@ from .symmetrize import (
 )
 from .weakvar import KHINCHIN_CONSTANT, weak_variances
 
+# how a sweep derives its seeds: 1 drew each trial's samples from
+# derive_seed(trial_seed, 1); 2 draws every trial's from the sweep's probe seed
+SEED_SCHEME = 2
 DEFAULT_THETA = 0.5
 DEFAULT_SIGMA0 = KHINCHIN_CONSTANT * DEFAULT_THETA
 
@@ -87,15 +99,26 @@ class DistortionReport:
 
 
 def sphere_sample(inst: NormInstance, count: int, seed: int) -> np.ndarray:
-    """Gaussian directions normalized to unit exact norm; rows are points."""
+    """Gaussian directions normalized to unit exact norm; rows are points.
+
+    The array is read-only and kept on the instance for its latest
+    (count, seed) (``NormInstance.memo``): the trials of a sweep, which
+    share their samples, normalise them once.
+    """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count == 0:
         return np.zeros((0, inst.n))
-    rng = np.random.default_rng(np.uint64(seed))
-    g = rng.standard_normal((count, inst.n))
-    norms = exact_unconditional_norm_many(inst, g)
-    return g / norms[:, None]
+
+    def draw() -> np.ndarray:
+        rng = np.random.default_rng(np.uint64(seed))
+        g = rng.standard_normal((count, inst.n))
+        norms = exact_unconditional_norm_many(inst, g)
+        X = g / norms[:, None]
+        X.setflags(write=False)
+        return X
+
+    return inst.memo((count, seed), draw)
 
 
 def _empirical_subgradients(kernel: NormKernel, E: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -117,11 +140,15 @@ def run_trial(
     *,
     signs=None,
     sigma0: float = DEFAULT_SIGMA0,
+    probe_seed: int | None = None,
 ) -> DistortionReport:
-    """One distortion trial; deterministic given (instance, seed, probes).
+    """One distortion trial; deterministic given (instance, seed, probes, probe_seed).
 
-    ``signs`` may inject an explicit sign matrix (e.g. the full
-    enumeration) in place of sampling; N/xi are then taken from it.  The
+    The sign matrix comes from ``seed`` and the sphere samples from
+    ``probe_seed``, by default ``derive_seed(seed, 1)``; a sweep passes
+    its probe seed to every trial.  ``signs`` may inject an explicit sign
+    matrix (e.g. the full enumeration) in place of sampling; N/xi are
+    then taken from it.  The
     caps are the instance's: its ``max_n`` bounds every exact norm, and an
     l1 space wider than its ``vertex_cap`` gets sampled lower bounds on
     sigma, and its U/V split is marked tentative.
@@ -139,7 +166,9 @@ def run_trial(
     xi_actual = emp.xi
 
     net_pts = probes.net.points if probes.net is not None else np.zeros((0, n))
-    samples = sphere_sample(inst, probes.samples, derive_seed(seed, 1))
+    if probe_seed is None:
+        probe_seed = derive_seed(seed, 1)
+    samples = sphere_sample(inst, probes.samples, probe_seed)
     X = np.vstack([net_pts, samples]) if net_pts.size else samples
     if X.shape[0] == 0:
         raise ValueError("probe set is empty: provide samples > 0 or a net")
@@ -221,6 +250,7 @@ class ConstantsProfile:
 
     rows: list[XiSummary]
     small_xi_loglog_slope: float | None
+    probe_seed: int
     note: str = UNSPECIFIED_CONSTANTS_NOTE
     reports_by_xi: dict | None = field(default=None, repr=False, compare=False)
 
@@ -236,9 +266,10 @@ def xi_sweep(
     pool=None,
 ) -> ConstantsProfile:
     """Trial quartiles of min/max estimates per xi, plus the small-xi slope."""
+    probe_seed = sweep_probe_seed(seed)
 
     def trial(xi: float, t: int, trial_seed: int) -> DistortionReport:
-        return run_trial(inst, xi, trial_seed, probes, sigma0=sigma0)
+        return run_trial(inst, xi, trial_seed, probes, sigma0=sigma0, probe_seed=probe_seed)
 
     by_xi = sweep(xi_list, trials, seed, trial, pool)
     rows = []
@@ -253,6 +284,7 @@ def xi_sweep(
         rows=rows,
         # log-log slope of median minimum vs xi over xi < 1 (reported only)
         small_xi_loglog_slope=loglog_slope((r.xi, r.min_median) for r in rows if r.xi < 1.0),
+        probe_seed=probe_seed,
         reports_by_xi=by_xi,
     )
 
@@ -267,6 +299,6 @@ def run_trials(
     sigma0: float = DEFAULT_SIGMA0,
     pool=None,
 ) -> list[DistortionReport]:
-    """Independent trials with per-trial derived seeds: ``xi_sweep`` at one xi."""
+    """Trials with per-trial derived signs and shared probes: ``xi_sweep`` at one xi."""
     profile = xi_sweep(inst, [xi], trials, master_seed, probes, sigma0=sigma0, pool=pool)
     return profile.reports_by_xi[xi]

@@ -409,6 +409,15 @@ def validate_config(doc: dict, *, path: str | None = None, experiment: str | Non
         cfg.points = rng.standard_normal((doc.get("count", 16), n))
     if "x" in doc:
         cfg.x = _finite("x", doc["x"], path)
+    # a field that another one makes unread, whatever its value
+    enumerated = "'enumerate' takes all 2^n sign patterns"
+    for src, fld, why in (
+        ("points", "count", "the points are given in 'points'"),
+        ("enumerate", "xi", enumerated),
+        ("enumerate", "N", enumerated),
+    ):
+        if doc.get(src) and fld in doc:
+            raise ConfigError(f"config field '{fld}' has no effect: {why}", field=fld, path=path)
     return cfg
 
 
@@ -636,13 +645,15 @@ def _run_xi_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     trial_rows = [[xi, t, *_trial_columns(r)] for xi in xi_list for t, r in enumerate(by_xi[xi])]
     tables = {"trials_csv": Table("trials.csv", ["xi_requested", "trial", *_TRIAL_COLUMNS], trial_rows)}
     tentative = sum(r.uv.tentative for reports in by_xi.values() for r in reports)
+    scheme = {"seed_scheme": dist.SEED_SCHEME, "probe_seed": profile.probe_seed}
     if cfg.experiment == "distortion":
-        return {"summary": vars(profile.rows[0]), "uv_tentative_trials": tentative}, tables
+        return {"summary": vars(profile.rows[0]), "uv_tentative_trials": tentative, **scheme}, tables
     results = {
         "small_xi_loglog_slope": profile.small_xi_loglog_slope,
         "note": profile.note,
         "rows": [vars(r) for r in profile.rows],
         "uv_tentative_trials": tentative,
+        **scheme,
     }
     return results, {**tables, "aggregate_csv": _aggregate(profile.rows)}
 

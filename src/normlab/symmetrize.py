@@ -42,6 +42,7 @@ and a chunk of points is one product, one combine and one sum.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -219,17 +220,32 @@ class NormInstance:
     CapacityError past it, so an instance that never enumerates may be
     wider.  ``vertex_cap`` is the widest l1 space whose weak variance is
     exact (``weakvar.weak_variances``).  Two instances are equal only if
-    they are the same object.
+    they are the same object.  ``memo`` keeps one result computed from the
+    instance, so that it dies with the instance.
     """
 
     family: VectorFamily
     max_n: int = ENUMERATION_CAP
     vertex_cap: int = VERTEX_ENUM_CAP
     kernel: NormKernel = field(init=False, repr=False)
+    _memo: list = field(init=False, repr=False, default_factory=lambda: [None, None])
+    _memo_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         validate_family(self.family)
         object.__setattr__(self, "kernel", NormKernel(self.family))
+
+    def memo(self, key, compute):
+        """``compute()``, kept for ``key`` until another key is asked for.
+
+        Callers that share a key share the result, so it must be read-only.
+        The lock is held while computing: concurrent callers of one key
+        compute it once, and every other caller waits for it.
+        """
+        with self._memo_lock:
+            if self._memo[0] != key:
+                self._memo[:] = [key, compute()]
+            return self._memo[1]
 
     @property
     def n(self) -> int:

@@ -29,8 +29,8 @@ POLY = {"space": {"kind": "polytope", "functionals": [[1, 0], [0, 1], [1, 1]]}, 
 # restarts acts only in the scalar sweep; distortion and xi-sweep reject it
 PROBES = {"samples": 4, "descent_steps": 2}
 BASES = {
-    "exact-norm": {**LINF, "count": 2, "points": [[1.0, 0.0, -1.0], [0.5, 2.0, 0.25]]},
-    "empirical-norm": {**POLY, "N": 3, "count": 2, "enumerate": True},
+    "exact-norm": {**LINF, "points": [[1.0, 0.0, -1.0], [0.5, 2.0, 0.25]]},
+    "empirical-norm": {**POLY, "count": 2, "enumerate": True},
     "distortion": {**LINF, "xi": 0.5, "trials": 1, "probes": PROBES, "caps": {"max_enum_n": 22}, "threads": 2},
     "xi-sweep": {**POLY, "xi_list": [0.5, 1], "trials": 1, "probes": PROBES, "sigma0": 0.5},
     "scalar-sweep": {"n": 3, "xi_list": [0.5], "trials": 1, "probes": {**PROBES, "restarts": 1}, "tau": 0.1},
@@ -125,6 +125,27 @@ def test_cli_ends_in_a_known_exit_code(name, data, tmp_path_factory, monkeypatch
         code = cli_main([name, "--config", str(cfg), "--seed", "3"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# a field beside another that makes it unread: (experiment, the field added
+# to its base, the field named)
+UNREAD_BESIDE = [
+    ("exact-norm", {"count": 2}, "count"),  # beside points
+    ("empirical-norm", {"points": [[1.0, 0.5]]}, "count"),
+    ("empirical-norm", {"N": 3}, "N"),  # beside enumerate: true
+    ("empirical-norm", {"xi": 0.5}, "xi"),
+]
+
+
+@pytest.mark.parametrize("name, extra, field", UNREAD_BESIDE)
+def test_a_field_another_makes_unread_is_a_config_error(name, extra, field, tmp_path, capsys):
+    doc = {**base(name), **extra, "output": {"dir": str(tmp_path / "o")}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main([name, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err and "has no effect" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

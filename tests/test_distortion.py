@@ -1,4 +1,7 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -207,11 +210,49 @@ class TestTrialIndependence:
     def test_order_free_seeds(self, inst):
         p = nl.ProbeSpec(samples=60, descent_steps=5)
         reports = nl.run_trials(inst, 0.5, 4, master_seed=99, probes=p)
-        # rerunning any single trial in isolation reproduces it bit for bit
+        # rerunning any single trial in isolation, with the sweep's probe
+        # seed, reproduces it bit for bit
         seeds = nl.seeding.trial_seeds_for_xi(99, 0.5, 4)
-        lone = nl.run_trial(inst, 0.5, seeds[2], probes=p)
+        probe_seed = nl.seeding.sweep_probe_seed(99)
+        lone = nl.run_trial(nl.NormInstance(inst.family), 0.5, seeds[2], probes=p, probe_seed=probe_seed)
         assert lone.min_estimate.value == reports[2].min_estimate.value
         assert np.array_equal(lone.min_estimate.direction, reports[2].min_estimate.direction)
+
+
+class TestProbeBank:
+    """The trials of a sweep share one set of sphere samples."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_a_sweep_normalises_its_samples_once(self, inst, monkeypatch, threads):
+        sizes = []
+        exact_many = nl.exact_unconditional_norm_many
+
+        def counted(inst_, X):
+            sizes.append(len(X))
+            if len(X) > 1:
+                time.sleep(0.05)  # so that the other trials ask while the samples are computed
+            return exact_many(inst_, X)
+
+        monkeypatch.setattr(nl.distortion, "exact_unconditional_norm_many", counted)
+        p = nl.ProbeSpec(samples=60, descent_steps=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                reports = nl.run_trials(inst, 0.5, 4, master_seed=5, probes=p, pool=pool)
+        finally:
+            sys.setswitchinterval(interval)
+        # one call on the samples; the descent renormalises one point at a time
+        assert sizes.count(60) == 1 and set(sizes) <= {1, 60}
+        assert len({r.trial_seed for r in reports}) == 4
+
+    def test_kept_per_instance_and_key(self, inst):
+        X = nl.sphere_sample(inst, 30, seed=6)
+        assert nl.sphere_sample(inst, 30, seed=6) is X and not X.flags.writeable
+        assert nl.sphere_sample(inst, 30, seed=7) is not X
+        # a new instance draws its own array, with the same bits
+        Y = nl.sphere_sample(nl.NormInstance(inst.family), 30, seed=6)
+        assert Y is not X and np.array_equal(Y, X)
 
 
 class TestXiSweep:

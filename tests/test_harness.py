@@ -274,11 +274,6 @@ class TestConfigValidation:
         assert f"(field: {field})" in err and "has no effect" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_count_beside_points_and_N_beside_enumerate_are_accepted(self, tmp_path, family_file):
-        doc = base_config(tmp_path, family_file, points=[[1.0] * 6], count=4, enumerate=True, N=3)
-        rep = run_experiment(validate_config(doc, experiment="empirical-norm"))
-        assert rep.results["points"] == 1 and rep.results["N"] == 64
-
     @pytest.mark.parametrize(
         "experiment, field", [(e, f) for e, (_, fields) in UNREAD.items() for f in fields]
     )
@@ -419,6 +414,9 @@ class TestRunners:
         agg = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 3  # header + 2 xi rows
         assert "small_xi_loglog_slope" in rep.results
+        # the report names how the trials' seeds were derived
+        assert rep.results["seed_scheme"] == nl.distortion.SEED_SCHEME == 2
+        assert rep.results["probe_seed"] == nl.seeding.sweep_probe_seed(7)
 
     def test_distortion_is_the_sweep_of_its_resolved_xi(self, tmp_path, rng):
         fam = nl.make_family(nl.lp_space("inf", 3), rng.standard_normal((12, 3)))
