@@ -102,8 +102,8 @@ def sphere_sample(inst: NormInstance, count: int, seed: int) -> np.ndarray:
     """Gaussian directions normalized to unit exact norm; rows are points.
 
     The array is read-only and kept on the instance for its latest
-    (count, seed) (``NormInstance.memo``): the trials of a sweep, which
-    share their samples, normalise them once.
+    (count, seed) (``NormInstance.sphere_bank``): the trials of a sweep,
+    which share their samples, normalise them once.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -118,7 +118,7 @@ def sphere_sample(inst: NormInstance, count: int, seed: int) -> np.ndarray:
         X.setflags(write=False)
         return X
 
-    return inst.memo((count, seed), draw)
+    return inst.sphere_bank(count, seed, draw)
 
 
 def _empirical_subgradients(kernel: NormKernel, E: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -220,32 +220,35 @@ class NormInstance:
     CapacityError past it, so an instance that never enumerates may be
     wider.  ``vertex_cap`` is the widest l1 space whose weak variance is
     exact (``weakvar.weak_variances``).  Two instances are equal only if
-    they are the same object.  ``memo`` keeps one result computed from the
-    instance, so that it dies with the instance.
+    they are the same object.  ``sphere_bank`` keeps the sphere samples
+    of ``distortion.sphere_sample``, so that they die with the instance.
     """
 
     family: VectorFamily
     max_n: int = ENUMERATION_CAP
     vertex_cap: int = VERTEX_ENUM_CAP
     kernel: NormKernel = field(init=False, repr=False)
-    _memo: list = field(init=False, repr=False, default_factory=lambda: [None, None])
-    _memo_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    _bank: list = field(init=False, repr=False, default_factory=lambda: [None, None])
+    _bank_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         validate_family(self.family)
         object.__setattr__(self, "kernel", NormKernel(self.family))
 
-    def memo(self, key, compute):
-        """``compute()``, kept for ``key`` until another key is asked for.
+    def sphere_bank(self, count: int, seed: int, draw):
+        """The sphere samples of ``(count, seed)``: ``draw()``, kept until
+        another ``(count, seed)`` is asked for.
 
-        Callers that share a key share the result, so it must be read-only.
-        The lock is held while computing: concurrent callers of one key
-        compute it once, and every other caller waits for it.
+        The slot holds one entry and serves ``distortion.sphere_sample``
+        only.  Callers of one ``(count, seed)`` share the array, so it must
+        be read-only.  The lock is held while drawing: concurrent callers
+        draw once, and every other caller waits.  It is not reentrant, so
+        ``draw`` must not ask for a bank.
         """
-        with self._memo_lock:
-            if self._memo[0] != key:
-                self._memo[:] = [key, compute()]
-            return self._memo[1]
+        with self._bank_lock:
+            if self._bank[0] != (count, seed):
+                self._bank[:] = [(count, seed), draw()]
+            return self._bank[1]
 
     @property
     def n(self) -> int:

@@ -30,7 +30,7 @@ POLY = {"space": {"kind": "polytope", "functionals": [[1, 0], [0, 1], [1, 1]]}, 
 PROBES = {"samples": 4, "descent_steps": 2}
 BASES = {
     "exact-norm": {**LINF, "points": [[1.0, 0.0, -1.0], [0.5, 2.0, 0.25]]},
-    "empirical-norm": {**POLY, "count": 2, "enumerate": True},
+    "empirical-norm": {**POLY, "N": 3, "count": 2, "enumerate": False},
     "distortion": {**LINF, "xi": 0.5, "trials": 1, "probes": PROBES, "caps": {"max_enum_n": 22}, "threads": 2},
     "xi-sweep": {**POLY, "xi_list": [0.5, 1], "trials": 1, "probes": PROBES, "sigma0": 0.5},
     "scalar-sweep": {"n": 3, "xi_list": [0.5], "trials": 1, "probes": {**PROBES, "restarts": 1}, "tau": 0.1},
@@ -111,6 +111,7 @@ def test_schema_check_agrees_with_jsonschema(name, data):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_bases_are_valid(name):
     assert ORACLE.is_valid(base(name))
+    harness.validate_config(base(name))  # the cross-field rules too
 
 
 @settings(FUZZ, max_examples=150)
@@ -127,19 +128,20 @@ def test_cli_ends_in_a_known_exit_code(name, data, tmp_path_factory, monkeypatch
     assert "Traceback" not in err.getvalue()
 
 
-# a field beside another that makes it unread: (experiment, the field added
-# to its base, the field named)
+# a field beside another that makes it unread: (experiment, the fields set
+# on its base, a None deleting one, the field named)
 UNREAD_BESIDE = [
     ("exact-norm", {"count": 2}, "count"),  # beside points
     ("empirical-norm", {"points": [[1.0, 0.5]]}, "count"),
-    ("empirical-norm", {"N": 3}, "N"),  # beside enumerate: true
-    ("empirical-norm", {"xi": 0.5}, "xi"),
+    ("empirical-norm", {"enumerate": True}, "N"),  # beside enumerate: true
+    ("empirical-norm", {"enumerate": True, "N": None, "xi": 0.5}, "xi"),
 ]
 
 
 @pytest.mark.parametrize("name, extra, field", UNREAD_BESIDE)
 def test_a_field_another_makes_unread_is_a_config_error(name, extra, field, tmp_path, capsys):
-    doc = {**base(name), **extra, "output": {"dir": str(tmp_path / "o")}}
+    doc = {k: v for k, v in {**base(name), **extra}.items() if v is not None}
+    doc["output"] = {"dir": str(tmp_path / "o")}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert cli_main([name, "--config", str(cfg)]) == 2
